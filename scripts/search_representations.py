@@ -26,7 +26,7 @@ from csu21 import (
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1, help="search RNG seed (default 1)")
-    parser.add_argument("--budget", type=int, default=64, help="restart budget per target (default 64)")
+    parser.add_argument("--budget", type=int, default=64, help="search starts per target (default 64)")
     parser.add_argument("--case", type=int, choices=range(1, 6), help="restrict to one target")
     args = parser.parse_args(argv)
 

@@ -19,6 +19,7 @@ envelope with --json.  Exit codes: 0 success, 1 malformed input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -283,6 +284,7 @@ def _render_human(command, status, payload, diagnostics) -> str:
     return "\n".join(lines)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="csu21",
@@ -309,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("variation", cmd_variation, "CS change along a connection path")
     p = add("find-reps", cmd_find_reps, "search for representations in prescribed classes")
     p.add_argument("--seed", type=int, default=0, help="search RNG seed")
-    p.add_argument("--budget", type=int, default=64, help="restart budget")
+    p.add_argument("--budget", type=int, default=64, help="number of search starts")
     add("mul", cmd_mul, "multiply two universal-cover elements")
     add("check-u21", cmd_check_u21, "validate a matrix or cover element")
     return parser

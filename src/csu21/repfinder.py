@@ -13,10 +13,11 @@ element (9 real parameters); x_1 stays at its diagonal form, using up
 the conjugation freedom of the whole representation.  Every power
 relation x_i^{a_i} h^{b_i} = 1 then holds identically whenever the
 target is liftable, so the optimization only has to close the long
-relation x_1 ... x_n = 1.  Multi-start Nelder-Mead explores, a
-least-squares polish (finite-difference Jacobian) finishes, and the
-first start is the all-diagonal configuration so that commuting targets
-are hit exactly without any search.
+relation x_1 ... x_n = 1.  Start 0 evaluates the all-diagonal
+configuration once, so that commuting targets are hit exactly without
+any search; every later start is one trust-region least-squares solve
+(finite-difference Jacobian) of the long relation's defect from a
+seeded random point.
 
 ``relation_residual`` scores a candidate by the full contract: squared
 Frobenius deviations of all relations plus a spectral penalty matching
@@ -82,6 +83,10 @@ class ClassTarget:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """Best candidate of a search.  ``iterations`` counts every evaluation
+    of the search's residual, finite-difference Jacobian evaluations
+    included."""
+
     matrices: tuple[np.ndarray, ...]
     residual: float
     seed: int
@@ -192,70 +197,54 @@ def find_representation(
 ) -> SearchResult:
     """Deterministic multi-start search for a representation in the classes.
 
-    Returns the best candidate found; ``converged`` reports whether its
-    full residual clears 1e-6.  Identical (seed, budget) reruns return
-    identical results.
+    ``budget`` counts starts, at least one.  Start 0 evaluates the
+    all-diagonal configuration once; starts 1 .. budget - 1 each run one
+    trust-region least-squares solve from a seeded random point.  The
+    search stops once the squared defect of the long relation is at most
+    1e-16, and returns the best candidate evaluated; ``converged`` reports
+    whether its full residual clears 1e-6.  Identical (seed, budget)
+    reruns return identical results.
     """
     diags = _target_diagonals(target)
     n = pres.n
     dim = 9 * (n - 1)
+    eye = np.eye(3)
+    evals = 0
+    best_val, best_ms = math.inf, None
 
-    def build(vec):
+    def residual_vector(vec):
+        nonlocal evals, best_val, best_ms
+        evals += 1
         ms = [diags[0]]
         for i in range(1, n):
             u = lie_exp(_algebra_from_params(vec[9 * (i - 1): 9 * i]))
             uinv = J @ u.conj().T @ J  # U(2,1) inverse, exact for members
             ms.append(u @ diags[i] @ uinv)
-        return ms
-
-    eye = np.eye(3)
-
-    def product_defect(vec):
         prod = eye
-        for m in build(vec):
+        for m in ms:
             prod = prod @ m
-        return prod - eye
-
-    def objective(vec):
-        return float(np.sum(np.abs(product_defect(vec)) ** 2))
-
-    def residual_vector(vec):
-        d = product_defect(vec)
+        d = prod - eye
+        val = float(np.sum(np.abs(d) ** 2))
+        if val < best_val:
+            best_val, best_ms = val, ms
         return np.concatenate([d.real.ravel(), d.imag.ravel()])
 
+    residual_vector(np.zeros(dim))
     rng = np.random.default_rng(seed)
-    best_vec, best_val = np.zeros(dim), math.inf
-    evals = 0
-    for start in range(max(1, budget)):
-        x0 = np.zeros(dim) if start == 0 else rng.normal(size=dim) * 0.8
-        nm = scipy.optimize.minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={"maxfev": 4000, "fatol": 1e-14, "xatol": 1e-10},
-        )
-        evals += nm.nfev
-        x, val = nm.x, float(nm.fun)
-        if val < 1e-2:
-            ls = scipy.optimize.least_squares(
-                residual_vector,
-                x,
-                method="lm" if dim <= 18 else "trf",
-                xtol=1e-15,
-                ftol=1e-15,
-                gtol=1e-15,
-                max_nfev=400,
-            )
-            evals += int(ls.nfev)
-            if 2.0 * ls.cost < val:
-                x, val = ls.x, 2.0 * float(ls.cost)
-        if val < best_val:
-            best_vec, best_val = x, val
+    for _ in range(1, budget):
         if best_val <= 1e-16:
             break
-    ms = build(best_vec)
-    residual = relation_residual(pres, ms, target)
-    return SearchResult(tuple(ms), residual, seed, evals)
+        scipy.optimize.least_squares(
+            residual_vector,
+            rng.normal(size=dim) * 0.8,
+            method="trf",
+            xtol=1e-15,
+            ftol=1e-15,
+            gtol=1e-15,
+            max_nfev=400,
+        )
+    residual = relation_residual(pres, best_ms, target)
+    return SearchResult(tuple(best_ms), residual, seed, evals)
 
 
 def extract_lift_data(

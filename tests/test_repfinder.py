@@ -119,6 +119,49 @@ def test_search_is_deterministic():
         assert np.array_equal(m1, m2)
 
 
+def test_search_is_reproducible_within_one_process():
+    # A search must not depend on what other searches ran before it.
+    pres = presentation((2, 3, 11))
+    targets = sigma_2_3_11_targets()
+    first = find_representation(pres, targets[0], seed=1, budget=64)
+    find_representation(pres, targets[4], seed=1, budget=64)
+    find_representation(pres, targets[2], seed=1, budget=64)
+    again = find_representation(pres, targets[0], seed=1, budget=64)
+    assert first.iterations == again.iterations
+    assert first.residual == again.residual
+    for m1, m2 in zip(first.matrices, again.matrices):
+        assert m1.tobytes() == m2.tobytes()
+
+
+def test_iterations_count_every_residual_evaluation(monkeypatch):
+    # Each evaluation exponentiates one algebra element per generator
+    # beyond the first, finite-difference Jacobian evaluations included.
+    calls = 0
+
+    def counting_lie_exp(x):
+        nonlocal calls
+        calls += 1
+        return lie_exp(x)
+
+    monkeypatch.setattr("csu21.repfinder.lie_exp", counting_lie_exp)
+    pres = presentation((2, 3, 11))
+    result = find_representation(pres, sigma_2_3_11_targets()[4], seed=1, budget=64)
+    assert result.converged
+    assert result.iterations == calls / (pres.n - 1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", [0, 3, 4, 5, 14, 21, 22, 25])
+def test_search_random_starts_stay_finite(seed):
+    # Seeds whose random starts drove a derivative-free search into overflow.
+    pres = presentation((2, 3, 11))
+    for target, case in zip(sigma_2_3_11_targets(), sigma_2_3_11_fixture()):
+        result = find_representation(pres, target, seed=seed, budget=64)
+        assert result.converged
+        assert not is_reducible(list(result.matrices))
+        assert cs_closed(pres, extract_lift_data(pres, result, target)) == case.expected_cs
+
+
 def test_converged_search_solves_case_five():
     pres = presentation((2, 3, 11))
     target = sigma_2_3_11_targets()[4]
