@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -159,6 +160,10 @@ def cmd_variation(args):
     try:
         closed = cs_delta_closed(path)
         quad = cs_delta_quadrature(path, n)
+        if not (math.isfinite(closed) and math.isfinite(quad)):
+            return _fail(2, {"family": path.family}, [
+                f"variation is not finite: closed {closed!r}, quadrature {quad!r}"
+            ])
         return _ok(
             {
                 "family": path.family,

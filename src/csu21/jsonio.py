@@ -4,11 +4,13 @@ Conventions: complex numbers are [re, im] pairs, matrices are 3x3
 row-major arrays of pairs, exact rationals are "num/den" strings (bare
 integers also accepted on input), cover elements carry their two angle
 lifts alongside the matrix.  Decoders raise ValueError on anything
-structurally off; domain validation happens in the core modules.
+structurally off and on non-finite numbers; domain validation happens in
+the core modules.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from fractions import Fraction
 
@@ -46,8 +48,15 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _real(v) -> float:
-    _require(isinstance(v, numbers.Real) and not isinstance(v, bool), f"expected a number, got {v!r}")
-    return float(v)
+    # The message is formatted only on failure: this runs once per number decoded.
+    if isinstance(v, numbers.Real) and not isinstance(v, bool):
+        try:
+            x = float(v)
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ValueError(f"expected a finite number, got {v!r}")
 
 
 def decode_complex(v) -> complex:

@@ -16,8 +16,11 @@ target is liftable, so the optimization only has to close the long
 relation x_1 ... x_n = 1.  Start 0 evaluates the all-diagonal
 configuration once, so that commuting targets are hit exactly without
 any search; every later start is one trust-region least-squares solve
-(finite-difference Jacobian) of the long relation's defect from a
-seeded random point.
+of the long relation's defect from a seeded random point, with the
+exact Jacobian: along a chart direction E of x_i = U_i D_i U_i^{-1},
+U_i = exp(X_i), the generator moves by [W, x_i] with W = phi(ad X_i) E
+and phi(z) = (e^z - 1) / z, which one 18x18 real exponential per
+generator gives for all 9 directions at once.
 
 ``relation_residual`` scores a candidate by the full contract: squared
 Frobenius deviations of all relations plus a spectral penalty matching
@@ -29,12 +32,14 @@ invariant can then be computed exactly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
 
 from .seifert import (
@@ -46,7 +51,7 @@ from .seifert import (
     canonical_lift_data,
     sigma_2_3_11_fixture,
 )
-from .ug21 import J, lie_exp
+from .ug21 import J, algebra_coords, algebra_element, lie_exp
 from .variation import mod_z
 
 CONVERGED_RESIDUAL = 1e-6
@@ -83,9 +88,8 @@ class ClassTarget:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Best candidate of a search.  ``iterations`` counts every evaluation
-    of the search's residual, finite-difference Jacobian evaluations
-    included."""
+    """Best candidate of a search.  ``iterations`` counts the evaluations
+    of the search's residual and of its Jacobian, one for each call."""
 
     matrices: tuple[np.ndarray, ...]
     residual: float
@@ -176,17 +180,62 @@ def relation_residual(pres: SeifertPresentation, matrices, target: ClassTarget) 
     return total
 
 
-def _algebra_from_params(v: np.ndarray) -> np.ndarray:
-    z = v[3] + 1j * v[4]
-    w = v[5] + 1j * v[6]
-    vv = v[7] + 1j * v[8]
-    return np.array(
-        [
-            [1j * v[0], z, w],
-            [-np.conj(z), 1j * v[1], vv],
-            [np.conj(w), np.conj(vv), 1j * v[2]],
-        ]
-    )
+_BASIS = np.array([algebra_element(e) for e in np.eye(9)])  # chart directions E_0 .. E_8
+# _AD[j] = ad(E_j) = [E_j, .] as a real 9x9 matrix in the chart's coordinates
+_AD = np.array([algebra_coords(e @ _BASIS - _BASIS @ e).T for e in _BASIS])
+
+
+def _exp_derivatives(c: np.ndarray) -> np.ndarray:
+    """W_k = (d exp_x E_k) exp(-x) at x = algebra_element(c), k = 0 .. 8.
+
+    W_k = phi(ad_x) E_k with phi(z) = (e^z - 1) / z, and phi(ad_x) is the
+    top-right block of exp([[ad_x, I], [0, 0]]).
+    """
+    block = np.zeros((18, 18))
+    block[:9, :9] = (c @ _AD.reshape(9, 81)).reshape(9, 9)  # ad_x = sum_j c_j ad(E_j)
+    block[:9, 9:] = np.eye(9)
+    phi = scipy.linalg.expm(block)[:9, 9:]
+    return (phi.T @ _BASIS.reshape(9, 9)).reshape(9, 3, 3)
+
+
+def _generators(vec: np.ndarray, diags) -> list[np.ndarray]:
+    """x_1 = D_1 and x_i = U_i D_i U_i^{-1}, U_i = exp of the i-th 9 coordinates."""
+    ms = [diags[0]]
+    for i in range(1, len(diags)):
+        u = lie_exp(algebra_element(vec[9 * (i - 1): 9 * i]))
+        uinv = J @ u.conj().T @ J  # U(2,1) inverse, exact for members
+        ms.append(u @ diags[i] @ uinv)
+    return ms
+
+
+def _defect(vec: np.ndarray, diags) -> tuple[list[np.ndarray], np.ndarray]:
+    """The generators and the real and imaginary parts of x_1 ... x_n - I."""
+    ms = _generators(vec, diags)
+    d = functools.reduce(np.matmul, ms) - np.eye(3)
+    return ms, np.concatenate([d.real.ravel(), d.imag.ravel()])
+
+
+def _defect_jacobian(vec: np.ndarray, diags) -> np.ndarray:
+    """Jacobian of ``_defect``'s vector, shape (18, 9 (n - 1)).
+
+    Along chart direction E_k of generator i, dx_i = [W_k, x_i] with W_k
+    from ``_exp_derivatives``, and the product moves by L_i dx_i R_i,
+    where L_i and R_i are the products of the generators before and
+    after x_i.
+    """
+    ms = _generators(vec, diags)
+    prefix = [np.eye(3)]
+    for m in ms[:-1]:
+        prefix.append(prefix[-1] @ m)
+    suffix = [np.eye(3)]
+    for m in reversed(ms[1:]):
+        suffix.insert(0, m @ suffix[0])
+    blocks = []
+    for i in range(1, len(ms)):
+        w = _exp_derivatives(vec[9 * (i - 1): 9 * i])
+        dp = prefix[i] @ (w @ ms[i] - ms[i] @ w) @ suffix[i]
+        blocks.append(np.concatenate([dp.real.reshape(9, 9), dp.imag.reshape(9, 9)], axis=1).T)
+    return np.hstack(blocks)
 
 
 def find_representation(
@@ -206,28 +255,23 @@ def find_representation(
     reruns return identical results.
     """
     diags = _target_diagonals(target)
-    n = pres.n
-    dim = 9 * (n - 1)
-    eye = np.eye(3)
+    dim = 9 * (pres.n - 1)
     evals = 0
     best_val, best_ms = math.inf, None
 
     def residual_vector(vec):
         nonlocal evals, best_val, best_ms
         evals += 1
-        ms = [diags[0]]
-        for i in range(1, n):
-            u = lie_exp(_algebra_from_params(vec[9 * (i - 1): 9 * i]))
-            uinv = J @ u.conj().T @ J  # U(2,1) inverse, exact for members
-            ms.append(u @ diags[i] @ uinv)
-        prod = eye
-        for m in ms:
-            prod = prod @ m
-        d = prod - eye
-        val = float(np.sum(np.abs(d) ** 2))
+        ms, r = _defect(vec, diags)
+        val = float(r @ r)
         if val < best_val:
             best_val, best_ms = val, ms
-        return np.concatenate([d.real.ravel(), d.imag.ravel()])
+        return r
+
+    def jacobian(vec):
+        nonlocal evals
+        evals += 1
+        return _defect_jacobian(vec, diags)
 
     residual_vector(np.zeros(dim))
     rng = np.random.default_rng(seed)
@@ -237,6 +281,7 @@ def find_representation(
         scipy.optimize.least_squares(
             residual_vector,
             rng.normal(size=dim) * 0.8,
+            jac=jacobian,
             method="trf",
             xtol=1e-15,
             ftol=1e-15,

@@ -172,14 +172,15 @@ def lie_exp(x: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(np.asarray(x, dtype=complex))
 
 
-def random_algebra_element(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """Draw a u(2,1) element with the 9 real coordinates ~ N(0, scale^2).
+def algebra_element(c) -> np.ndarray:
+    """The u(2,1) element with real coordinates c (9 of them).
 
-    Basis: i*diag entries (3 real), an su(2)-type off-diagonal pair z at
-    (0,1)/-conj(z) at (1,0), and two form-skew pairs w, v whose mirror
-    entries carry +conj.
+    Basis: i*diag entries (c[0..2]), an su(2)-type off-diagonal pair
+    z = c[3] + i c[4] at (0,1) / -conj(z) at (1,0), and two form-skew
+    pairs w = c[5] + i c[6] at (0,2) and v = c[7] + i c[8] at (1,2) whose
+    mirror entries carry +conj.  The map is linear; ``algebra_coords``
+    inverts it.
     """
-    c = rng.normal(scale=scale, size=9)
     z = c[3] + 1j * c[4]
     w = c[5] + 1j * c[6]
     v = c[7] + 1j * c[8]
@@ -190,6 +191,34 @@ def random_algebra_element(rng: np.random.Generator, scale: float = 1.0) -> np.n
             [np.conj(w), np.conj(v), 1j * c[2]],
         ]
     )
+
+
+def algebra_coords(x) -> np.ndarray:
+    """The 9 real coordinates of u(2,1) elements x of shape (..., 3, 3).
+
+    Inverse of ``algebra_element`` on the algebra; it reads only the
+    diagonal and the upper triangle.
+    """
+    x = np.asarray(x, dtype=complex)
+    return np.stack(
+        [
+            x[..., 0, 0].imag,
+            x[..., 1, 1].imag,
+            x[..., 2, 2].imag,
+            x[..., 0, 1].real,
+            x[..., 0, 1].imag,
+            x[..., 0, 2].real,
+            x[..., 0, 2].imag,
+            x[..., 1, 2].real,
+            x[..., 1, 2].imag,
+        ],
+        axis=-1,
+    )
+
+
+def random_algebra_element(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+    """Draw a u(2,1) element with the 9 real coordinates ~ N(0, scale^2)."""
+    return algebra_element(rng.normal(scale=scale, size=9))
 
 
 def random_u21(seed: int, scale: float = 1.0) -> np.ndarray:

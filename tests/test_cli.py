@@ -184,6 +184,14 @@ def test_classify_rejects_non_member(run):
     assert any("not in U(2,1)" in d for d in env["diagnostics"])
 
 
+def test_classify_rejects_nan_matrix(run):
+    m = encode_matrix(np.eye(3))
+    m[0][0][0] = float("nan")
+    code, out = run(["classify", "--json"], stdin_text=json.dumps({"matrix": m}))
+    assert code == 1
+    assert _envelope(out)["diagnostics"][0].startswith("malformed input")
+
+
 def test_check_u21_matrix_and_g_element(run):
     code, out = run(["check-u21", "--json"], stdin_text=json.dumps(encode_matrix(np.eye(3))))
     assert code == 0
@@ -257,6 +265,33 @@ def test_variation_rejects_odd_panel_count(run):
     }
     code, _ = run(["variation"], stdin_text=json.dumps(doc))
     assert code == 2  # quadrature rejects the panel count
+
+
+@pytest.mark.parametrize(
+    "endpoint", [float("nan"), float("inf"), -float("inf"), 10**400], ids=["nan", "inf", "-inf", "10**400"]
+)
+def test_variation_rejects_non_finite_endpoint(run, endpoint):
+    doc = {"family": "elliptic", "params": {"alpha1": {"kind": "linear", "from": endpoint, "to": 1.0}}}
+    code, out = run(["variation", "--json"], stdin_text=json.dumps(doc))
+    assert code == 1
+    assert _envelope(out)["status"] == "fail"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_variation_fails_when_the_result_overflows(run):
+    # Finite endpoints whose variation is not a finite number.
+    doc = {
+        "family": "elliptic",
+        "params": {
+            "alpha1": {"kind": "linear", "from": -1e308, "to": 1e308},
+            "beta1": {"kind": "linear", "from": -1e308, "to": 1e308},
+        },
+    }
+    code, out = run(["variation", "--json"], stdin_text=json.dumps(doc))
+    assert code == 2
+    env = _envelope(out)
+    assert env["status"] == "fail"
+    assert env["payload"] == {"family": "elliptic"}
 
 
 # ---------------------------------------------------------------------------

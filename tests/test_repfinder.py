@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from csu21 import (
     CentralAngles,
@@ -11,6 +12,7 @@ from csu21 import (
     SearchResult,
     SnapFailure,
     Unliftable,
+    algebra_element,
     cs_closed,
     extract_lift_data,
     find_representation,
@@ -24,7 +26,13 @@ from csu21 import (
     sigma_2_3_11_targets,
     target_from_angles,
 )
-from csu21.repfinder import _target_diagonals
+from csu21.repfinder import (
+    _BASIS,
+    _defect,
+    _defect_jacobian,
+    _exp_derivatives,
+    _target_diagonals,
+)
 
 F = Fraction
 
@@ -96,6 +104,57 @@ def test_residual_checks_matrix_count():
 
 
 # ---------------------------------------------------------------------------
+# the search's defect and its Jacobian
+
+
+def test_exp_derivatives_match_expm_frechet(rng):
+    for _ in range(5):
+        c = rng.normal(size=9)
+        x = algebra_element(c)
+        u = scipy.linalg.expm(x)
+        w = _exp_derivatives(c)
+        for k in range(9):
+            frechet = scipy.linalg.expm_frechet(x, _BASIS[k], compute_expm=False)
+            np.testing.assert_allclose(w[k] @ u, frechet, rtol=0, atol=1e-12 * np.max(np.abs(frechet)))
+
+
+def _central_difference(vec, diags, h=1e-6):
+    cols = []
+    for e in np.eye(len(vec)):
+        plus = _defect(vec + h * e, diags)[1]
+        minus = _defect(vec - h * e, diags)[1]
+        cols.append((plus - minus) / (2 * h))
+    return np.column_stack(cols)
+
+
+_FOUR_GENERATOR_TARGET = ClassTarget(
+    (
+        (F(1, 2), F(0), F(1, 2)),
+        (F(1, 3), F(2, 3), F(0)),
+        (F(1, 5), F(2, 5), F(4, 5)),
+        (F(1, 7), F(3, 7), F(6, 7)),
+    ),
+    F(0),
+    (0, 0),
+)
+
+
+@pytest.mark.parametrize(
+    "a, target",
+    [((2, 3, 11), t) for t in sigma_2_3_11_targets()] + [((2, 3, 5, 7), _FOUR_GENERATOR_TARGET)],
+)
+def test_defect_jacobian_matches_central_differences(a, target, rng):
+    pres = presentation(a)
+    diags = _target_diagonals(target)
+    for _ in range(3):
+        vec = rng.normal(size=9 * (pres.n - 1)) * 0.8
+        jac = _defect_jacobian(vec, diags)
+        assert jac.shape == (18, 9 * (pres.n - 1))
+        fd = _central_difference(vec, diags)
+        np.testing.assert_allclose(jac, fd, rtol=0, atol=1e-6 * np.max(np.abs(jac)))
+
+
+# ---------------------------------------------------------------------------
 # the search
 
 
@@ -135,7 +194,7 @@ def test_search_is_reproducible_within_one_process():
 
 def test_iterations_count_every_residual_evaluation(monkeypatch):
     # Each evaluation exponentiates one algebra element per generator
-    # beyond the first, finite-difference Jacobian evaluations included.
+    # beyond the first, Jacobian evaluations included.
     calls = 0
 
     def counting_lie_exp(x):

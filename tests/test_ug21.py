@@ -12,6 +12,8 @@ from csu21 import (
     CorrectionBranchError,
     GElement,
     IsometryType,
+    algebra_coords,
+    algebra_element,
     check_u21,
     classify,
     g_identity,
@@ -68,6 +70,31 @@ def test_algebra_residual_basis_elements():
     x[2, 0] = np.conj(x[0, 2])
     assert u21_algebra_residual(x) <= 1e-15
     assert u21_algebra_residual(np.eye(3)) >= 1.0
+
+
+def test_algebra_chart_round_trip(rng):
+    for c in rng.normal(scale=2.0, size=(20, 9)):
+        x = algebra_element(c)
+        assert u21_algebra_residual(x) <= 1e-15
+        assert np.array_equal(algebra_coords(x), c)
+    cs = rng.normal(size=(4, 9))
+    assert np.array_equal(algebra_coords(np.array([algebra_element(c) for c in cs])), cs)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 20260823])
+def test_random_algebra_element_draws_are_unchanged(seed):
+    # Reference: the explicit construction the seeded draws have always used.
+    c = np.random.default_rng(seed).normal(scale=0.7, size=9)
+    z, w, v = c[3] + 1j * c[4], c[5] + 1j * c[6], c[7] + 1j * c[8]
+    expected = np.array(
+        [
+            [1j * c[0], z, w],
+            [-np.conj(z), 1j * c[1], v],
+            [np.conj(w), np.conj(v), 1j * c[2]],
+        ]
+    )
+    drawn = random_algebra_element(np.random.default_rng(seed), 0.7)
+    assert drawn.tobytes() == expected.tobytes()
 
 
 def test_identity_is_two_sided_exactly(rng):
