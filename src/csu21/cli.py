@@ -25,6 +25,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import jsonio
 from .repfinder import extract_lift_data, find_representation, implied_angles
 from .seifert import (
@@ -158,8 +160,10 @@ def cmd_variation(args):
     except _MALFORMED as exc:
         return _fail(1, {}, [f"malformed input: {exc}"])
     try:
-        closed = cs_delta_closed(path)
-        quad = cs_delta_quadrature(path, n)
+        # A non-finite result is reported below as exit 2, not as warnings on stderr.
+        with np.errstate(over="ignore", invalid="ignore"):
+            closed = cs_delta_closed(path)
+            quad = cs_delta_quadrature(path, n)
         if not (math.isfinite(closed) and math.isfinite(quad)):
             return _fail(2, {"family": path.family}, [
                 f"variation is not finite: closed {closed!r}, quadrature {quad!r}"

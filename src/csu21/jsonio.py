@@ -42,9 +42,10 @@ from .variation import (
 )
 
 
-def _require(cond: bool, msg: str) -> None:
+def _require(cond: bool, msg: str, *args) -> None:
+    # ``msg`` is a str.format template, filled from ``args`` only on failure.
     if not cond:
-        raise ValueError(msg)
+        raise ValueError(msg.format(*args))
 
 
 def _real(v) -> float:
@@ -60,7 +61,7 @@ def _real(v) -> float:
 
 
 def decode_complex(v) -> complex:
-    _require(isinstance(v, (list, tuple)) and len(v) == 2, f"complex entries are [re, im] pairs, got {v!r}")
+    _require(isinstance(v, (list, tuple)) and len(v) == 2, "complex entries are [re, im] pairs, got {!r}", v)
     return complex(_real(v[0]), _real(v[1]))
 
 
@@ -80,7 +81,7 @@ def decode_matrix(data) -> np.ndarray:
 
 def encode_matrix(m) -> list[list[list[float]]]:
     m = np.asarray(m, dtype=complex)
-    _require(m.shape == (3, 3), f"matrix must be 3x3, got {m.shape}")
+    _require(m.shape == (3, 3), "matrix must be 3x3, got {}", m.shape)
     return [[encode_complex(m[i, j]) for j in range(3)] for i in range(3)]
 
 
@@ -100,7 +101,7 @@ def encode_g_element(g: GElement) -> dict:
 def decode_fraction(v) -> Fraction:
     if isinstance(v, numbers.Integral) and not isinstance(v, bool):
         return Fraction(int(v))
-    _require(isinstance(v, str), f"exact values are 'num/den' strings or integers, got {v!r}")
+    _require(isinstance(v, str), "exact values are 'num/den' strings or integers, got {!r}", v)
     try:
         return Fraction(v.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -113,7 +114,7 @@ def encode_fraction(f: Fraction) -> str:
 
 
 def _int(v) -> int:
-    _require(isinstance(v, numbers.Integral) and not isinstance(v, bool), f"expected an integer, got {v!r}")
+    _require(isinstance(v, numbers.Integral) and not isinstance(v, bool), "expected an integer, got {!r}", v)
     return int(v)
 
 
@@ -134,9 +135,9 @@ def encode_presentation(pres: SeifertPresentation) -> dict:
 def decode_rep_data(data) -> LiftedRepData:
     _require(isinstance(data, dict), "representation data must be an object")
     missing = {"p0", "q0", "r0", "p", "q", "r", "s"} - set(data)
-    _require(not missing, f"representation data missing {sorted(missing)}")
+    _require(not missing, "representation data missing {}", sorted(missing))
     for key in ("p", "q", "r", "s"):
-        _require(isinstance(data[key], list), f"'{key}' must be a list")
+        _require(isinstance(data[key], list), "'{}' must be a list", key)
     return LiftedRepData(
         decode_fraction(data["p0"]),
         decode_fraction(data["q0"]),
@@ -171,7 +172,7 @@ def decode_angles(data) -> tuple[tuple[GeneratorAngles, ...], CentralAngles]:
     for g in data["generators"]:
         _require(isinstance(g, dict), "each generator entry must be an object")
         missing = {"fractions", "theta1_turns", "theta2_turns"} - set(g)
-        _require(not missing, f"generator entry missing {sorted(missing)}")
+        _require(not missing, "generator entry missing {}", sorted(missing))
         fr = g["fractions"]
         _require(isinstance(fr, list) and len(fr) == 3, "'fractions' must be a triple")
         gens.append(
@@ -207,7 +208,7 @@ def encode_angles(gens, central: CentralAngles) -> dict:
 def decode_normal_form(data) -> NormalFormConnection:
     _require(isinstance(data, dict) and "family" in data, "normal form needs a 'family' tag")
     family = data["family"]
-    _require(family in FAMILIES, f"unknown family {family!r}, expected one of {list(FAMILIES)}")
+    _require(family in FAMILIES, "unknown family {!r}, expected one of {}", family, list(FAMILIES))
     params = data.get("params", {})
     _require(isinstance(params, dict), "'params' must be an object")
     vals = {k: _real(v) for k, v in params.items()}
@@ -225,7 +226,7 @@ def _decode_param_curve(entry):
     kind = entry["kind"]
     if kind == "linear":
         missing = {"from", "to"} - set(entry)
-        _require(not missing, f"linear path missing {sorted(missing)}")
+        _require(not missing, "linear path missing {}", sorted(missing))
         return LinearParam(_real(entry["from"]), _real(entry["to"]))
     if kind == "samples":
         _require("values" in entry and isinstance(entry["values"], list), "sampled path needs a 'values' list")
@@ -250,7 +251,7 @@ def decode_path(data) -> tuple[ConnectionPath, int]:
 def decode_class_target(data) -> ClassTarget:
     _require(isinstance(data, dict), "class target must be an object")
     missing = {"generators", "central"} - set(data)
-    _require(not missing, f"class target missing {sorted(missing)}")
+    _require(not missing, "class target missing {}", sorted(missing))
     _require(isinstance(data["generators"], list), "'generators' must be a list")
     fractions = []
     for tri in data["generators"]:

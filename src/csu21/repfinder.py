@@ -15,12 +15,16 @@ relation x_i^{a_i} h^{b_i} = 1 then holds identically whenever the
 target is liftable, so the optimization only has to close the long
 relation x_1 ... x_n = 1.  Start 0 evaluates the all-diagonal
 configuration once, so that commuting targets are hit exactly without
-any search; every later start is one trust-region least-squares solve
-of the long relation's defect from a seeded random point, with the
-exact Jacobian: along a chart direction E of x_i = U_i D_i U_i^{-1},
+any search; every later start is one Levenberg-Marquardt solve of the
+long relation's defect from a seeded random point, with the exact
+Jacobian: along a chart direction E of x_i = U_i D_i U_i^{-1},
 U_i = exp(X_i), the generator moves by [W, x_i] with W = phi(ad X_i) E
 and phi(z) = (e^z - 1) / z, which one 18x18 real exponential per
-generator gives for all 9 directions at once.
+generator gives for all 9 directions at once.  That Jacobian has rank
+at most 9 (the product only moves in the tangent space of U(2,1), and
+each D_i's centraliser is a null direction); as the Levenberg-Marquardt
+damping falls, its step tends to the minimum-norm Gauss-Newton step, so
+the solve converges fast onto the positive-dimensional solution set.
 
 ``relation_residual`` scores a candidate by the full contract: squared
 Frobenius deviations of all relations plus a spectral penalty matching
@@ -40,7 +44,6 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .seifert import (
     CentralAngles,
@@ -238,6 +241,40 @@ def _defect_jacobian(vec: np.ndarray, diags) -> np.ndarray:
     return np.hstack(blocks)
 
 
+def _levenberg_marquardt(fun, jac, x: np.ndarray, max_nfev: int) -> np.ndarray:
+    """Minimise |fun(x)|^2 from x by Levenberg-Marquardt; return the last accepted x.
+
+    Nielsen's damping rule (Madsen, Nielsen & Tingleff, Methods for
+    non-linear least squares problems, 2004, section 3.2).  Stops after
+    ``max_nfev`` calls of ``fun``, when the step is below 1e-15 relative
+    to x, or when the gradient J^T r is below 1e-15 in every entry (a
+    zero Jacobian included).  A trial point whose residual is not
+    finite is rejected like any step that does not reduce |r|^2.
+    """
+    r = fun(x)
+    nfev = 1
+    jx = jac(x)
+    a, g = jx.T @ jx, jx.T @ r
+    mu, nu = 1e-3 * a.diagonal().max(), 2.0
+    while nfev < max_nfev and np.abs(g).max() > 1e-15:
+        h = np.linalg.solve(a + mu * np.eye(len(x)), -g)
+        if np.linalg.norm(h) <= 1e-15 * (np.linalg.norm(x) + 1e-15):
+            break
+        r_new = fun(x + h)
+        nfev += 1
+        rho = (r @ r - r_new @ r_new) / (h @ (mu * h - g))
+        if rho > 0:
+            x, r = x + h, r_new
+            jx = jac(x)
+            a, g = jx.T @ jx, jx.T @ r
+            mu *= max(1 / 3, 1 - (2 * rho - 1) ** 3)
+            nu = 2.0
+        else:
+            mu *= nu
+            nu *= 2.0
+    return x
+
+
 def find_representation(
     pres: SeifertPresentation,
     target: ClassTarget,
@@ -248,7 +285,7 @@ def find_representation(
 
     ``budget`` counts starts, at least one.  Start 0 evaluates the
     all-diagonal configuration once; starts 1 .. budget - 1 each run one
-    trust-region least-squares solve from a seeded random point.  The
+    Levenberg-Marquardt solve from a seeded random point.  The
     search stops once the squared defect of the long relation is at most
     1e-16, and returns the best candidate evaluated; ``converged`` reports
     whether its full residual clears 1e-6.  Identical (seed, budget)
@@ -278,16 +315,7 @@ def find_representation(
     for _ in range(1, budget):
         if best_val <= 1e-16:
             break
-        scipy.optimize.least_squares(
-            residual_vector,
-            rng.normal(size=dim) * 0.8,
-            jac=jacobian,
-            method="trf",
-            xtol=1e-15,
-            ftol=1e-15,
-            gtol=1e-15,
-            max_nfev=400,
-        )
+        _levenberg_marquardt(residual_vector, jacobian, rng.normal(size=dim) * 0.8, max_nfev=400)
     residual = relation_residual(pres, best_ms, target)
     return SearchResult(tuple(best_ms), residual, seed, evals)
 

@@ -277,9 +277,9 @@ def test_variation_rejects_non_finite_endpoint(run, endpoint):
     assert _envelope(out)["status"] == "fail"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_variation_fails_when_the_result_overflows(run):
-    # Finite endpoints whose variation is not a finite number.
+def test_variation_fails_when_the_result_overflows(monkeypatch, capsys):
+    # Finite endpoints whose variation is not a finite number: exit 2,
+    # with nothing on stderr (no numpy overflow warnings).
     doc = {
         "family": "elliptic",
         "params": {
@@ -287,9 +287,12 @@ def test_variation_fails_when_the_result_overflows(run):
             "beta1": {"kind": "linear", "from": -1e308, "to": 1e308},
         },
     }
-    code, out = run(["variation", "--json"], stdin_text=json.dumps(doc))
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code = main(["variation", "--json"])
+    captured = capsys.readouterr()
     assert code == 2
-    env = _envelope(out)
+    assert captured.err == ""
+    env = _envelope(captured.out)
     assert env["status"] == "fail"
     assert env["payload"] == {"family": "elliptic"}
 

@@ -31,6 +31,7 @@ from csu21.repfinder import (
     _defect,
     _defect_jacobian,
     _exp_derivatives,
+    _levenberg_marquardt,
     _target_diagonals,
 )
 
@@ -155,6 +156,68 @@ def test_defect_jacobian_matches_central_differences(a, target, rng):
 
 
 # ---------------------------------------------------------------------------
+# the search's Levenberg-Marquardt solve
+
+
+def _circle_residual(v):
+    # zero on the unit circle; the Jacobian has rank 1 everywhere
+    e = v @ v - 1.0
+    return np.array([e, 2.0 * e])
+
+
+def _circle_jacobian(v):
+    return np.array([2.0 * v, 4.0 * v])
+
+
+def test_levenberg_marquardt_solves_a_rank_deficient_problem():
+    x = _levenberg_marquardt(_circle_residual, _circle_jacobian, np.array([2.0, 0.5]), max_nfev=400)
+    assert np.linalg.norm(_circle_residual(x)) <= 1e-14
+
+
+def test_levenberg_marquardt_keeps_to_its_evaluation_budget():
+    calls = 0
+
+    def fun(v):
+        nonlocal calls
+        calls += 1
+        return np.array([np.exp(v[0]), 1.0])  # no zero: only the budget stops the solve
+
+    _levenberg_marquardt(fun, lambda v: np.array([[np.exp(v[0])], [0.0]]), np.array([0.0]), max_nfev=7)
+    assert calls == 7
+
+
+def test_levenberg_marquardt_stops_on_a_zero_jacobian():
+    calls = 0
+
+    def fun(v):
+        nonlocal calls
+        calls += 1
+        return np.array([1.0, -2.0])
+
+    x0 = np.array([0.3, -0.7])
+    x = _levenberg_marquardt(fun, lambda v: np.zeros((2, 2)), x0, max_nfev=400)
+    assert calls == 1
+    assert np.array_equal(x, x0)
+
+
+def test_levenberg_marquardt_never_accepts_a_non_finite_residual():
+    # Everything beyond x = 1 evaluates to inf; the minimum lies at x = 2.
+    accepted = []
+
+    def fun(v):
+        return np.array([np.inf]) if v[0] > 1.0 else np.array([v[0] - 2.0])
+
+    def jac(v):
+        accepted.append(v[0])
+        return np.array([[1.0]])
+
+    x = _levenberg_marquardt(fun, jac, np.array([0.0]), max_nfev=50)
+    assert max(accepted) <= 1.0
+    assert x[0] <= 1.0
+    assert np.isfinite(fun(x)).all()
+
+
+# ---------------------------------------------------------------------------
 # the search
 
 
@@ -207,6 +270,19 @@ def test_iterations_count_every_residual_evaluation(monkeypatch):
     result = find_representation(pres, sigma_2_3_11_targets()[4], seed=1, budget=64)
     assert result.converged
     assert result.iterations == calls / (pres.n - 1)
+
+
+def test_table_searches_stay_within_their_evaluation_count():
+    # Seed 1 takes 120 evaluations over the five classes.  A solve that
+    # converges only linearly on the rank-deficient Jacobian takes about
+    # four times as many.
+    pres = presentation((2, 3, 11))
+    total = 0
+    for target in sigma_2_3_11_targets():
+        result = find_representation(pres, target, seed=1, budget=64)
+        assert result.converged
+        total += result.iterations
+    assert total <= 200
 
 
 @pytest.mark.filterwarnings("error")
