@@ -12,8 +12,23 @@ Subcommands::
 
 All inputs are JSON read from a file argument or stdin ("-"); all
 outputs go to stdout, human-readable by default, as a structured
-envelope with --json.  Exit codes: 0 success, 1 malformed input,
-2 validation failure, 3 search non-convergence.
+envelope with --json.  Envelopes are strict JSON, with no NaN or
+Infinity: a non-finite membership residual in a fail payload is null.
+
+Exit codes:
+
+    0  success
+    1  malformed input: anything rejected while reading and decoding the
+       document, including the checks of the constructors the decoders
+       call (coprime moduli, family parameters, rotation-number range,
+       sample count)
+    2  validation failure: any check after decoding
+    3  the search did not converge
+
+Commands read their document through ``_parse``, the only place that
+turns a decoding failure into ``MalformedInput``; ``main`` is the only
+place that maps an exception to an exit code.  A failure raised as an
+exception gets an empty payload.
 """
 
 from __future__ import annotations
@@ -38,16 +53,24 @@ from .seifert import (
     sigma_2_3_11_fixture,
     validate_rep,
 )
-from .ug21 import TOL_ANGLE, TOL_GROUP, check_u21, classify, g_multiply, is_reducible
+from .ug21 import TOL_ANGLE, TOL_GROUP, GElement, check_u21, classify, g_multiply, is_reducible
 from .variation import cs_delta_closed, cs_delta_quadrature
 
-_MALFORMED = (OSError, json.JSONDecodeError, ValueError, TypeError, KeyError)
+_MALFORMED = (OSError, ValueError, TypeError, KeyError)  # JSONDecodeError is a ValueError
 _DOMAIN = (ValueError, TypeError, ArithmeticError, RuntimeError)
 
 
-def _load_json(args):
-    text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
-    return json.loads(text)
+class MalformedInput(ValueError):
+    """The input document could not be read or decoded (exit 1)."""
+
+
+def _parse(args, decode):
+    """Load the command's JSON document and return ``decode(doc)``."""
+    try:
+        text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
+        return decode(json.loads(text))
+    except _MALFORMED as exc:
+        raise MalformedInput(f"malformed input: {exc}") from exc
 
 
 def _ok(payload, diagnostics=()):
@@ -58,46 +81,37 @@ def _fail(code, payload, diagnostics):
     return code, "fail", payload, list(diagnostics)
 
 
+def _decode_source(doc):
+    if "data" in doc:
+        return "data", jsonio.decode_rep_data(doc["data"])
+    if "angles" in doc:
+        return "angles", jsonio.decode_angles(doc["angles"])
+    raise ValueError("input needs either 'data' or 'angles'")
+
+
 def cmd_cs_seifert(args):
-    try:
-        doc = _load_json(args)
-        pres = jsonio.decode_presentation(doc)
-        if "data" in doc:
-            source = ("data", jsonio.decode_rep_data(doc["data"]))
-        elif "angles" in doc:
-            source = ("angles", jsonio.decode_angles(doc["angles"]))
-        else:
-            raise ValueError("input needs either 'data' or 'angles'")
-    except _MALFORMED as exc:
-        return _fail(1, {}, [f"malformed input: {exc}"])
-    try:
-        if source[0] == "angles":
-            gens, central = source[1]
-            data = canonical_lift_data(pres, gens, central)
-        else:
-            data = source[1]
-        report = validate_rep(pres, data)
-        if not report.ok:
-            diags = [f"constraint {c.name} failed: {c.detail}" for c in report.failures()]
-            return _fail(2, {"data": jsonio.encode_rep_data(data)}, diags)
-        cs = cs_closed(pres, data, validate=False)
-        pipe = cs_pipeline(pres, data, validate=False)
-        mu = burns_epstein(cs)
-        payload = {
-            "presentation": jsonio.encode_presentation(pres),
-            "data": jsonio.encode_rep_data(data),
-            "cs": jsonio.encode_fraction(cs),
-            "cs_decimal": float(cs),
-            "burns_epstein": jsonio.encode_fraction(mu),
-            "burns_epstein_decimal": float(mu),
-            "pipeline_cs": jsonio.encode_fraction(pipe),
-            "pipeline_agrees": pipe == cs,
-        }
-        if pipe != cs:
-            return _fail(2, payload, ["closed formula and pipeline disagree"])
-        return _ok(payload)
-    except _DOMAIN as exc:
-        return _fail(2, {}, [str(exc)])
+    pres, (kind, source) = _parse(args, lambda doc: (jsonio.decode_presentation(doc), _decode_source(doc)))
+    data = canonical_lift_data(pres, *source) if kind == "angles" else source
+    report = validate_rep(pres, data)
+    if not report.ok:
+        diags = [f"constraint {c.name} failed: {c.detail}" for c in report.failures()]
+        return _fail(2, {"data": jsonio.encode_rep_data(data)}, diags)
+    cs = cs_closed(pres, data, validate=False)
+    pipe = cs_pipeline(pres, data, validate=False)
+    mu = burns_epstein(cs)
+    payload = {
+        "presentation": jsonio.encode_presentation(pres),
+        "data": jsonio.encode_rep_data(data),
+        "cs": jsonio.encode_fraction(cs),
+        "cs_decimal": float(cs),
+        "burns_epstein": jsonio.encode_fraction(mu),
+        "burns_epstein_decimal": float(mu),
+        "pipeline_cs": jsonio.encode_fraction(pipe),
+        "pipeline_agrees": pipe == cs,
+    }
+    if pipe != cs:
+        return _fail(2, payload, ["closed formula and pipeline disagree"])
+    return _ok(payload)
 
 
 def cmd_verify_table(args):
@@ -106,27 +120,24 @@ def cmd_verify_table(args):
         cases = tuple(c for c in cases if c.label == str(args.case))
     pres = presentation((2, 3, 11))
     rows = []
-    try:
-        for case in cases:
-            data = canonical_lift_data(pres, case.generators, case.central)
-            pipe = cs_pipeline(pres, data)
-            row = {
-                "case": case.label,
-                "expected": jsonio.encode_fraction(case.expected_cs),
-                "pipeline": jsonio.encode_fraction(pipe),
-            }
-            match = pipe == case.expected_cs
-            value = pipe
-            if not args.pipeline_only:
-                closed = cs_closed(pres, data)
-                row["closed"] = jsonio.encode_fraction(closed)
-                match = match and closed == case.expected_cs
-                value = closed
-            row["burns_epstein"] = jsonio.encode_fraction(burns_epstein(value))
-            row["match"] = match
-            rows.append(row)
-    except _DOMAIN as exc:
-        return _fail(2, {"cases": rows}, [str(exc)])
+    for case in cases:
+        data = canonical_lift_data(pres, case.generators, case.central)
+        pipe = cs_pipeline(pres, data)
+        row = {
+            "case": case.label,
+            "expected": jsonio.encode_fraction(case.expected_cs),
+            "pipeline": jsonio.encode_fraction(pipe),
+        }
+        match = pipe == case.expected_cs
+        value = pipe
+        if not args.pipeline_only:
+            closed = cs_closed(pres, data)
+            row["closed"] = jsonio.encode_fraction(closed)
+            match = match and closed == case.expected_cs
+            value = closed
+        row["burns_epstein"] = jsonio.encode_fraction(burns_epstein(value))
+        row["match"] = match
+        rows.append(row)
     all_match = all(r["match"] for r in rows) and len(rows) > 0
     payload = {"presentation": jsonio.encode_presentation(pres), "cases": rows, "all_match": all_match}
     if not all_match:
@@ -135,131 +146,95 @@ def cmd_verify_table(args):
     return _ok(payload)
 
 
+def _decode_matrix_doc(doc):
+    return jsonio.decode_matrix(doc["matrix"] if isinstance(doc, dict) else doc)
+
+
 def cmd_classify(args):
-    try:
-        doc = _load_json(args)
-        m = jsonio.decode_matrix(doc["matrix"] if isinstance(doc, dict) else doc)
-    except _MALFORMED as exc:
-        return _fail(1, {}, [f"malformed input: {exc}"])
-    try:
-        residual = check_u21(m)
-        if residual > args.tol_group:
-            return _fail(2, {"residual": residual}, [
-                f"matrix is not in U(2,1): residual {residual:.3e} > tol-group {args.tol_group:.3e}"
-            ])
-        kind = classify(m)
-        return _ok({"type": kind.value, "residual": residual})
-    except _DOMAIN as exc:
-        return _fail(2, {}, [str(exc)])
+    m = _parse(args, _decode_matrix_doc)
+    residual = check_u21(m)
+    if residual > args.tol_group:
+        return _fail(2, {"residual": jsonio.encode_real(residual)}, [
+            f"matrix is not in U(2,1): residual {residual:.3e} > tol-group {args.tol_group:.3e}"
+        ])
+    return _ok({"type": classify(m).value, "residual": residual})
 
 
 def cmd_variation(args):
-    try:
-        doc = _load_json(args)
-        path, n = jsonio.decode_path(doc)
-    except _MALFORMED as exc:
-        return _fail(1, {}, [f"malformed input: {exc}"])
-    try:
-        # A non-finite result is reported below as exit 2, not as warnings on stderr.
-        with np.errstate(over="ignore", invalid="ignore"):
-            closed = cs_delta_closed(path)
-            quad = cs_delta_quadrature(path, n)
-        if not (math.isfinite(closed) and math.isfinite(quad)):
-            return _fail(2, {"family": path.family}, [
-                f"variation is not finite: closed {closed!r}, quadrature {quad!r}"
-            ])
-        return _ok(
-            {
-                "family": path.family,
-                "closed": closed,
-                "quadrature": quad,
-                "difference": abs(closed - quad),
-                "n": n,
-            }
-        )
-    except _DOMAIN as exc:
-        return _fail(2, {}, [str(exc)])
+    path, n = _parse(args, jsonio.decode_path)
+    closed = cs_delta_closed(path)
+    quad = cs_delta_quadrature(path, n)
+    difference = abs(closed - quad)
+    # Not finite when either route is not, or when their difference overflows.
+    if not math.isfinite(difference):
+        return _fail(2, {"family": path.family}, [
+            f"variation is not finite: closed {closed!r}, quadrature {quad!r}"
+        ])
+    return _ok(
+        {
+            "family": path.family,
+            "closed": closed,
+            "quadrature": quad,
+            "difference": difference,
+            "n": n,
+        }
+    )
 
 
 def cmd_find_reps(args):
-    try:
-        doc = _load_json(args)
-        pres = jsonio.decode_presentation(doc)
-        target = jsonio.decode_class_target(doc["target"])
-    except _MALFORMED as exc:
-        return _fail(1, {}, [f"malformed input: {exc}"])
-    try:
-        # Pre-flight: the exact lift must exist before any search is worth it.
-        gens, central = implied_angles(pres, target)
-        data = canonical_lift_data(pres, gens, central)
-    except _DOMAIN as exc:
-        return _fail(2, {"target": jsonio.encode_class_target(target)}, [str(exc)])
-    try:
-        result = find_representation(pres, target, seed=args.seed, budget=args.budget)
-        if not result.converged:
-            return _fail(
-                3,
-                {"search": jsonio.encode_search_result(result)},
-                [
-                    f"search did not converge: best residual {result.residual:.3e} > 1e-06 "
-                    f"after budget {args.budget}"
-                ],
-            )
-        data = extract_lift_data(pres, result, target)
-        cs = cs_closed(pres, data)
-        payload = {
-            "presentation": jsonio.encode_presentation(pres),
-            "search": jsonio.encode_search_result(result),
-            "data": jsonio.encode_rep_data(data),
-            "cs": jsonio.encode_fraction(cs),
-            "cs_decimal": float(cs),
-            "burns_epstein": jsonio.encode_fraction(burns_epstein(cs)),
-            "irreducible": not is_reducible(result.matrices),
-        }
-        return _ok(payload)
-    except _DOMAIN as exc:
-        return _fail(2, {}, [str(exc)])
+    pres, target = _parse(
+        args, lambda doc: (jsonio.decode_presentation(doc), jsonio.decode_class_target(doc["target"]))
+    )
+    # Pre-flight: the exact lift must exist before any search is worth it.
+    canonical_lift_data(pres, *implied_angles(pres, target))
+    result = find_representation(pres, target, seed=args.seed, budget=args.budget)
+    if not result.converged:
+        return _fail(
+            3,
+            {"search": jsonio.encode_search_result(result)},
+            [
+                f"search did not converge: best residual {result.residual:.3e} > 1e-06 "
+                f"after budget {args.budget}"
+            ],
+        )
+    data = extract_lift_data(pres, result, target)
+    cs = cs_closed(pres, data)
+    payload = {
+        "presentation": jsonio.encode_presentation(pres),
+        "search": jsonio.encode_search_result(result),
+        "data": jsonio.encode_rep_data(data),
+        "cs": jsonio.encode_fraction(cs),
+        "cs_decimal": float(cs),
+        "burns_epstein": jsonio.encode_fraction(burns_epstein(cs)),
+        "irreducible": not is_reducible(result.matrices),
+    }
+    return _ok(payload)
 
 
 def cmd_mul(args):
-    try:
-        doc = _load_json(args)
-        g = jsonio.decode_g_element(doc["g"])
-        h = jsonio.decode_g_element(doc["h"])
-    except _MALFORMED as exc:
-        return _fail(1, {}, [f"malformed input: {exc}"])
-    try:
-        g.validate(args.tol_group, args.tol_angle)
-        h.validate(args.tol_group, args.tol_angle)
-        prod = g_multiply(g, h)
-        return _ok({"product": jsonio.encode_g_element(prod)})
-    except _DOMAIN as exc:
-        return _fail(2, {}, [str(exc)])
+    g, h = _parse(args, lambda doc: (jsonio.decode_g_element(doc["g"]), jsonio.decode_g_element(doc["h"])))
+    g.validate(args.tol_group, args.tol_angle)
+    h.validate(args.tol_group, args.tol_angle)
+    return _ok({"product": jsonio.encode_g_element(g_multiply(g, h))})
+
+
+def _decode_check_u21(doc):
+    if isinstance(doc, dict) and "theta1" in doc:
+        return jsonio.decode_g_element(doc)
+    return _decode_matrix_doc(doc)
 
 
 def cmd_check_u21(args):
-    try:
-        doc = _load_json(args)
-        if isinstance(doc, dict) and "theta1" in doc:
-            obj = ("g", jsonio.decode_g_element(doc))
-        else:
-            obj = ("matrix", jsonio.decode_matrix(doc["matrix"] if isinstance(doc, dict) else doc))
-    except _MALFORMED as exc:
-        return _fail(1, {}, [f"malformed input: {exc}"])
-    try:
-        if obj[0] == "g":
-            g = obj[1]
-            residual = check_u21(g.a)
-            g.validate(args.tol_group, args.tol_angle)
-            return _ok({"kind": "g_element", "residual": residual, "valid": True})
-        residual = check_u21(obj[1])
-        if residual > args.tol_group:
-            return _fail(2, {"kind": "matrix", "residual": residual, "valid": False}, [
-                f"membership residual {residual:.3e} > tol-group {args.tol_group:.3e}"
-            ])
-        return _ok({"kind": "matrix", "residual": residual, "valid": True})
-    except _DOMAIN as exc:
-        return _fail(2, {}, [str(exc)])
+    obj = _parse(args, _decode_check_u21)
+    if isinstance(obj, GElement):
+        obj.validate(args.tol_group, args.tol_angle)
+        return _ok({"kind": "g_element", "residual": check_u21(obj.a), "valid": True})
+    residual = check_u21(obj)
+    if residual > args.tol_group:
+        return _fail(2, {"kind": "matrix", "residual": jsonio.encode_real(residual), "valid": False}, [
+            f"membership residual {residual:.3e} > tol-group {args.tol_group:.3e}"
+        ])
+    return _ok({"kind": "matrix", "residual": residual, "valid": True})
 
 
 def _render_table(payload) -> str:
@@ -332,10 +307,18 @@ def main(argv=None) -> int:
     if not getattr(args, "func", None):
         parser.print_help()
         return 0
-    code, status, payload, diagnostics = args.func(args)
+    try:
+        # Overflow and invalid values surface as non-finite results, which
+        # each command reports itself; numpy must not warn on stderr.
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, status, payload, diagnostics = args.func(args)
+    except MalformedInput as exc:
+        code, status, payload, diagnostics = _fail(1, {}, [str(exc)])
+    except _DOMAIN as exc:
+        code, status, payload, diagnostics = _fail(2, {}, [str(exc)])
     if args.json:
         doc = {"command": args.command, "status": status, "payload": payload, "diagnostics": diagnostics}
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(doc, indent=2, allow_nan=False))
     else:
         print(_render_human(args.command, status, payload, diagnostics))
     return code

@@ -60,6 +60,12 @@ def _real(v) -> float:
     raise ValueError(f"expected a finite number, got {v!r}")
 
 
+def encode_real(x) -> float | None:
+    """A float for an envelope; strict JSON has no NaN or infinity, so those become null."""
+    x = float(x)
+    return x if math.isfinite(x) else None
+
+
 def decode_complex(v) -> complex:
     _require(isinstance(v, (list, tuple)) and len(v) == 2, "complex entries are [re, im] pairs, got {!r}", v)
     return complex(_real(v[0]), _real(v[1]))
@@ -121,11 +127,10 @@ def _int(v) -> int:
 def decode_presentation(data) -> SeifertPresentation:
     _require(isinstance(data, dict) and "a" in data, "presentation needs a moduli list 'a'")
     a = data["a"]
-    _require(isinstance(a, list) and all(isinstance(x, numbers.Integral) for x in a), "'a' must be a list of integers")
+    _require(isinstance(a, list), "'a' must be a list of integers")
     b = data.get("b")
-    if b is not None:
-        _require(isinstance(b, list) and all(isinstance(x, numbers.Integral) for x in b), "'b' must be a list of integers")
-    return presentation([int(x) for x in a], None if b is None else [int(x) for x in b])
+    _require(b is None or isinstance(b, list), "'b' must be a list of integers")
+    return presentation([_int(x) for x in a], None if b is None else [_int(x) for x in b])
 
 
 def encode_presentation(pres: SeifertPresentation) -> dict:

@@ -86,6 +86,10 @@ class PolyParam:
 
     coeffs: tuple[float, ...]
 
+    def __post_init__(self):
+        if not self.coeffs:
+            raise ValueError("polynomial parameter needs at least one coefficient")
+
 
 @dataclass(frozen=True)
 class SampledParam:
@@ -283,18 +287,17 @@ def gauge_shift_boundary_integral(nf: NormalFormConnection, n_grid: int = 256) -
     if n_grid < 16:
         raise ValueError(f"n_grid must be >= 16, got {n_grid}")
     _, cy = connection_coeffs(nf)
-    total = 0.0
-    for k in range(n_grid):
-        x = k / n_grid
-        e = np.exp(2j * math.pi * x)
-        g = np.diag([e, np.conj(e), 1.0])
-        ginv = np.diag([np.conj(e), e, 1.0])
-        dg = 2j * math.pi * np.diag([e, -np.conj(e), 0.0])
-        # dx^dy coefficient of tr(g^-1 A g ^ g^-1 dg): only the cy dy term
-        # survives against the dx-valued Maurer-Cartan form, with a sign
-        # from reordering dy^dx.
-        total += -np.real(np.trace(ginv @ cy @ g @ ginv @ dg))
-    return total / n_grid / EIGHT_PI_SQ
+    # g(x) = diag(e, 1/e, 1) and dg/dx as diagonals over the grid x = k / n_grid.
+    e = np.exp(2j * math.pi * np.arange(n_grid) / n_grid)
+    g = np.stack([e, np.conj(e), np.ones(n_grid)], axis=1)
+    dg = 2j * math.pi * np.stack([e, -np.conj(e), np.zeros(n_grid)], axis=1)
+    ginv = np.conj(g)
+    # dx^dy coefficient of tr(g^-1 A g ^ g^-1 dg): only the cy dy term
+    # survives against the dx-valued Maurer-Cartan form, with a sign
+    # from reordering dy^dx.  With g diagonal, tr(g^-1 cy g g^-1 dg) is
+    # the sum over i of the diagonal products, for any cy.
+    integrand = -np.real(np.sum(ginv * np.diag(cy) * g * ginv * dg, axis=1))
+    return float(np.mean(integrand)) / EIGHT_PI_SQ
 
 
 def mod_z(value):

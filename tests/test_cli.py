@@ -1,10 +1,16 @@
 """End-to-end CLI tests: exit codes, envelopes, and both output modes."""
 
+import contextlib
+import copy
 import io
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csu21 import sigma_2_3_11_fixture
 from csu21.cli import main
@@ -144,6 +150,14 @@ def test_cs_seifert_rejects_malformed_input(run):
     assert code == 1  # moduli share factors
 
 
+def test_cs_seifert_rejects_boolean_presentation_entries(run):
+    zeros = {"p0": 0, "q0": 0, "r0": 0, "p": [0] * 3, "q": [0] * 3, "r": [0] * 3, "s": [0] * 3}
+    doc = {"a": [2, 3, 5], "b": [-1, True, True], "data": zeros}
+    code, out = run(["cs-seifert", "--json"], stdin_text=json.dumps(doc))
+    assert code == 1
+    assert _envelope(out)["diagnostics"][0].startswith("malformed input")
+
+
 def test_cs_seifert_reads_from_file(run, tmp_path):
     path = tmp_path / "rep.json"
     path.write_text(json.dumps({"a": [2, 3, 11], "data": CASE5_DATA}))
@@ -208,6 +222,35 @@ def test_check_u21_matrix_and_g_element(run):
     assert code == 1
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
+_OVERFLOWING = encode_matrix(np.eye(3))
+_OVERFLOWING[0][0][0] = 1e308
+_OVERFLOWING_G = {"matrix": _OVERFLOWING, "theta1": 0.0, "theta2": 0.0}
+
+
+@pytest.mark.parametrize(
+    "command, doc, payload",
+    [
+        ("classify", {"matrix": _OVERFLOWING}, {"residual": None}),
+        ("check-u21", {"matrix": _OVERFLOWING}, {"kind": "matrix", "residual": None, "valid": False}),
+        ("mul", {"g": _OVERFLOWING_G, "h": _OVERFLOWING_G}, {}),
+    ],
+    ids=["classify", "check-u21", "mul"],
+)
+def test_overflowing_matrix_gives_strict_json_and_no_warnings(monkeypatch, capsys, command, doc, payload):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code = main([command, "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    env = json.loads(captured.out, parse_constant=_reject_constant)
+    assert env["status"] == "fail"
+    assert env["payload"] == payload
+
+
 def test_check_u21_rejects_inconsistent_lift(run):
     g_doc = {"matrix": encode_matrix(np.eye(3)), "theta1": 0.5, "theta2": 0.0}
     code, out = run(["check-u21", "--json"], stdin_text=json.dumps(g_doc))
@@ -255,6 +298,13 @@ def test_variation_rejects_stray_parameter(run):
     doc = {"family": "elliptic", "params": {"u": {"kind": "linear", "from": 0.0, "to": 1.0}}}
     code, _ = run(["variation"], stdin_text=json.dumps(doc))
     assert code == 1  # rejected while decoding the path
+
+
+def test_variation_rejects_empty_poly(run):
+    doc = {"family": "elliptic", "params": {"alpha1": {"kind": "poly", "coeffs": []}}}
+    code, out = run(["variation", "--json"], stdin_text=json.dumps(doc))
+    assert code == 1
+    assert _envelope(out)["diagnostics"][0].startswith("malformed input")
 
 
 def test_variation_rejects_odd_panel_count(run):
@@ -399,3 +449,118 @@ def test_no_subcommand_prints_help(run):
     assert code == 0
     assert "cs-seifert" in out
     assert "verify-table" in out
+
+
+# ---------------------------------------------------------------------------
+# fuzzed documents: every command keeps the exit-code and envelope contract
+
+_CASE1 = sigma_2_3_11_fixture()[0]
+_G_DOC = {"matrix": encode_matrix(_phase_diag(0.1, 0.2, 0.05)), "theta1": 2 * np.pi * 0.35, "theta2": 2 * np.pi * 0.05}
+
+# (argv, seed documents); verify-table reads no document, so its options vary instead.
+_FUZZ_SEEDS = {
+    "cs-seifert": (
+        [],
+        [
+            {"a": [2, 3, 11], "data": CASE5_DATA},
+            {"a": [2, 3, 11], "angles": encode_angles(_CASE1.generators, _CASE1.central)},
+        ],
+    ),
+    "verify-table": ([], [None]),
+    "classify": ([], [{"matrix": encode_matrix(_phase_diag(0.21, 0.52, 0.11))}]),
+    "variation": (
+        [],
+        [
+            {
+                "family": "elliptic",
+                "params": {
+                    "alpha1": {"kind": "linear", "from": 0.0, "to": 1.0},
+                    "beta1": {"kind": "poly", "coeffs": [1.0, 0.5]},
+                },
+                "n": 16,
+            },
+            {"family": "parabolic_c1", "params": {"beta": {"kind": "samples", "values": [1.0] * 33}}},
+        ],
+    ),
+    "find-reps": (["--seed", "1", "--budget", "1"], [{"a": [2, 3, 11], "target": CASE5_TARGET}]),
+    "mul": ([], [{"g": _G_DOC, "h": _G_DOC}]),
+    "check-u21": ([], [_G_DOC, encode_matrix(np.eye(3))]),
+}
+
+# Integers stay small: a panel count is an allocation size.
+_INTS = st.integers(-20, 20) | st.sampled_from([10**400, -(10**400)])
+_FLOATS = st.floats(-4.0, 4.0) | st.sampled_from([math.nan, math.inf, 1e308, -1e308, 1e-308])
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=12).map(lambda f: f"{f.numerator}/{f.denominator}")
+_JSON = st.recursive(
+    st.none() | st.booleans() | _INTS | _FLOATS | _RATIONALS | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=6), kids, max_size=4),
+    max_leaves=8,
+)
+# Most mutations keep the kind of value they replace, so that documents
+# get past the decoders and reach the checks after them.
+_LIKE = {bool: st.booleans(), int: _INTS | _FLOATS, float: _INTS | _FLOATS, str: _RATIONALS}
+
+
+def _locations(doc, path=()):
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _locations(value, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def _mutated(draw, seeds):
+    doc = copy.deepcopy(draw(st.sampled_from(seeds)))
+    for _ in range(draw(st.integers(0, 3))):
+        how = draw(st.sampled_from(["like"] * 4 + ["any", "delete"]))
+        paths = [p for p in _locations(doc) if how != "like" or type(_at(doc, p)) in _LIKE]
+        path = draw(st.sampled_from(paths or [()]))
+        new = draw(_LIKE[type(_at(doc, path))] if how == "like" and paths else _JSON)
+        if not path:
+            doc = new
+        elif how == "delete" and isinstance(_at(doc, path[:-1]), dict):
+            del _at(doc, path[:-1])[path[-1]]
+        else:
+            _at(doc, path[:-1])[path[-1]] = new
+    return doc
+
+
+def _assert_finite(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for v in value:
+            _assert_finite(v)
+    elif not isinstance(value, (str, bool, int)):
+        assert isinstance(value, float) and math.isfinite(value), value
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZ_SEEDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mutated_documents_keep_the_cli_contract(command, data):
+    argv, seeds = _FUZZ_SEEDS[command]
+    if command == "verify-table":
+        argv = data.draw(st.sampled_from([[], ["--pipeline-only"]])) + data.draw(
+            st.sampled_from([[], *(["--case", str(c)] for c in range(1, 6))])
+        )
+    doc = data.draw(_mutated(seeds))
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(doc))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--json", *argv])
+    finally:
+        sys.stdin = stdin
+    assert code in {0, 1, 2, 3}
+    assert err.getvalue() == ""
+    env = json.loads(out.getvalue(), parse_constant=_reject_constant)
+    assert env["status"] == ("ok" if code == 0 else "fail")
+    if code == 0:
+        _assert_finite(env["payload"])

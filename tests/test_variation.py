@@ -23,7 +23,7 @@ from csu21 import (
     mod_z,
     normal_form_from_params,
 )
-from csu21.normal_forms import FAMILIES, FAMILY_PARAMS
+from csu21.normal_forms import FAMILIES, FAMILY_PARAMS, connection_coeffs
 
 from conftest import random_normal_form
 
@@ -241,6 +241,29 @@ def test_gauge_boundary_integral_matches_closed_form(rng):
         closed = gauge_shift_closed(1, 0, nf.alpha, nf.beta)
         integral = gauge_shift_boundary_integral(nf, n_grid=256)
         assert abs(integral - closed) <= 1e-8
+
+
+def _gauge_integral_pointwise(nf, n_grid):
+    # Reference: the integrand built as 3x3 matrices, one grid point at a time.
+    _, cy = connection_coeffs(nf)
+    total = 0.0
+    for k in range(n_grid):
+        e = np.exp(2j * math.pi * k / n_grid)
+        g = np.diag([e, np.conj(e), 1.0])
+        ginv = np.diag([np.conj(e), e, 1.0])
+        dg = 2j * math.pi * np.diag([e, -np.conj(e), 0.0])
+        total += -np.real(np.trace(ginv @ cy @ g @ ginv @ dg))
+    return total / n_grid / (8.0 * math.pi**2)
+
+
+@pytest.mark.parametrize("n_grid", [16, 17, 256])
+def test_gauge_boundary_integral_matches_the_pointwise_loop(rng, n_grid):
+    # Same arithmetic summed in another order: agreement to a few hundred
+    # ulps of the O(1) result.
+    for _ in range(20):
+        nf = random_normal_form(rng, "elliptic", -5.0, 5.0)
+        reference = _gauge_integral_pointwise(nf, n_grid)
+        assert abs(gauge_shift_boundary_integral(nf, n_grid) - reference) <= 1e-13 * max(1.0, abs(reference))
 
 
 def test_gauge_boundary_integral_rejects_bad_input(rng):
