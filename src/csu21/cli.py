@@ -22,7 +22,9 @@ Exit codes:
        document, including the checks of the constructors the decoders
        call (coprime moduli, family parameters, rotation-number range,
        sample count)
-    2  validation failure: any check after decoding
+    2  validation failure: any check after decoding; also argparse's
+       usage error for a bad option, such as a tolerance that is not a
+       finite number > 0
     3  the search did not converge
 
 Commands read their document through ``_parse``, the only place that
@@ -43,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from . import jsonio
-from .repfinder import extract_lift_data, find_representation, implied_angles
+from .repfinder import CONVERGED_RESIDUAL, extract_lift_data, find_representation, implied_angles
 from .seifert import (
     burns_epstein,
     canonical_lift_data,
@@ -193,7 +195,7 @@ def cmd_find_reps(args):
             3,
             {"search": jsonio.encode_search_result(result)},
             [
-                f"search did not converge: best residual {result.residual:.3e} > 1e-06 "
+                f"search did not converge: best residual {result.residual:.3e} > {CONVERGED_RESIDUAL:.0e} "
                 f"after budget {args.budget}"
             ],
         )
@@ -268,6 +270,17 @@ def _render_human(command, status, payload, diagnostics) -> str:
     return "\n".join(lines)
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of a tolerance: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -276,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a structured JSON envelope")
-    common.add_argument("--tol-group", type=float, default=TOL_GROUP, help="membership residual tolerance")
-    common.add_argument("--tol-angle", type=float, default=TOL_ANGLE, help="angle congruence tolerance")
+    common.add_argument("--tol-group", type=_tolerance, default=TOL_GROUP, help="membership residual tolerance")
+    common.add_argument("--tol-angle", type=_tolerance, default=TOL_ANGLE, help="angle congruence tolerance")
     sub = parser.add_subparsers(dest="command")
 
     def add(name, func, help_, with_input=True):

@@ -42,6 +42,9 @@ from .variation import (
 )
 
 
+MAX_PANELS = 2**16  # largest quadrature panel count a document may ask for
+
+
 def _require(cond: bool, msg: str, *args) -> None:
     # ``msg`` is a str.format template, filled from ``args`` only on failure.
     if not cond:
@@ -248,9 +251,11 @@ def decode_path(data) -> tuple[ConnectionPath, int]:
     params = data.get("params", {})
     _require(isinstance(params, dict), "'params' must be an object")
     curves = {name: _decode_param_curve(entry) for name, entry in params.items()}
-    n = data.get("n", 256)
+    n = _int(data.get("n", 256))
+    # The quadrature grid holds n + 1 points per array: bound its memory.
+    _require(n <= MAX_PANELS, "panel count {} exceeds {}", n, MAX_PANELS)
     path = ConnectionPath(data["family"], curves)
-    return path, _int(n)
+    return path, n
 
 
 def decode_class_target(data) -> ClassTarget:

@@ -260,6 +260,9 @@ def cs_delta_quadrature(path: ConnectionPath, n: int = 256) -> float:
 
     ``n`` (even, >= 2) is the panel count for smooth parameter paths;
     paths with sampled parameters integrate on their own grid instead.
+    The grid's arrays grow with n, so documents read by
+    ``jsonio.decode_path`` (the ``variation`` command) may ask for at most
+    ``jsonio.MAX_PANELS`` = 2**16 panels.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"panel count must be even and >= 2, got {n}")

@@ -251,6 +251,20 @@ def test_overflowing_matrix_gives_strict_json_and_no_warnings(monkeypatch, capsy
     assert env["payload"] == payload
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+@pytest.mark.parametrize("option", ["--tol-group", "--tol-angle"])
+@pytest.mark.parametrize("command", ["mul", "classify", "check-u21"])
+def test_tolerances_must_be_finite_and_positive(capsys, command, option, value):
+    # Rejected by argparse before any input is read: a usage error, exit 2.
+    with pytest.raises(SystemExit) as exc:
+        main([command, option, value, "--json"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "usage:" in captured.err
+    assert f"argument {option}: must be a finite number > 0" in captured.err
+
+
 def test_check_u21_rejects_inconsistent_lift(run):
     g_doc = {"matrix": encode_matrix(np.eye(3)), "theta1": 0.5, "theta2": 0.0}
     code, out = run(["check-u21", "--json"], stdin_text=json.dumps(g_doc))
@@ -315,6 +329,16 @@ def test_variation_rejects_odd_panel_count(run):
     }
     code, _ = run(["variation"], stdin_text=json.dumps(doc))
     assert code == 2  # quadrature rejects the panel count
+
+
+def test_variation_caps_the_panel_count(run):
+    doc = {"family": "elliptic", "params": {"alpha1": {"kind": "linear", "from": 0.0, "to": 1.0}}}
+    code, out = run(["variation", "--json"], stdin_text=json.dumps({**doc, "n": 2**16}))
+    assert code == 0
+    assert _envelope(out)["payload"]["n"] == 2**16
+    code, out = run(["variation", "--json"], stdin_text=json.dumps({**doc, "n": 2**16 + 2}))
+    assert code == 1
+    assert _envelope(out)["diagnostics"][0].startswith("malformed input: panel count")
 
 
 @pytest.mark.parametrize(
@@ -433,6 +457,22 @@ def test_find_reps_exhausted_budget_reports_best(run):
     assert env["payload"]["search"]["converged"] is False
     assert env["payload"]["search"]["residual"] > 1e-6
     assert any("did not converge" in d for d in env["diagnostics"])
+
+
+def test_find_reps_rejects_a_near_miss(run):
+    # Every start stalls with the long relation off by about 1e-4: a
+    # near-miss, not a representation, however small its residual.
+    target = {
+        "generators": [["0/1", "1/2", "1/2"], ["0/1", "2/3", "1/3"], ["0/1", "9/11", "2/11"]],
+        "central": {"fraction": "0/1", "lifts": [0, -1]},
+    }
+    doc = {"a": [2, 3, 11], "target": target}
+    code, out = run(["find-reps", "--seed", "1", "--budget", "3", "--json"], stdin_text=json.dumps(doc))
+    assert code == 3
+    env = _envelope(out)
+    assert env["status"] == "fail"
+    assert env["payload"]["search"]["converged"] is False
+    assert any("did not converge" in d and "> 1e-12" in d for d in env["diagnostics"])
 
 
 def test_find_reps_rejects_malformed_target(run):

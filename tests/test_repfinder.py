@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from csu21 import (
     CentralAngles,
@@ -12,7 +11,6 @@ from csu21 import (
     SearchResult,
     SnapFailure,
     Unliftable,
-    algebra_element,
     cs_closed,
     extract_lift_data,
     find_representation,
@@ -27,10 +25,9 @@ from csu21 import (
     target_from_angles,
 )
 from csu21.repfinder import (
-    _BASIS,
+    _conjugate,
     _defect,
     _defect_jacobian,
-    _exp_derivatives,
     _levenberg_marquardt,
     _target_diagonals,
 )
@@ -108,22 +105,12 @@ def test_residual_checks_matrix_count():
 # the search's defect and its Jacobian
 
 
-def test_exp_derivatives_match_expm_frechet(rng):
-    for _ in range(5):
-        c = rng.normal(size=9)
-        x = algebra_element(c)
-        u = scipy.linalg.expm(x)
-        w = _exp_derivatives(c)
-        for k in range(9):
-            frechet = scipy.linalg.expm_frechet(x, _BASIS[k], compute_expm=False)
-            np.testing.assert_allclose(w[k] @ u, frechet, rtol=0, atol=1e-12 * np.max(np.abs(frechet)))
-
-
-def _central_difference(vec, diags, h=1e-6):
+def _central_difference(ms, h=1e-6):
+    """Columns of h -> _defect(_conjugate(ms, h)) at h = 0 by central differences."""
     cols = []
-    for e in np.eye(len(vec)):
-        plus = _defect(vec + h * e, diags)[1]
-        minus = _defect(vec - h * e, diags)[1]
+    for e in np.eye(9 * (len(ms) - 1)):
+        plus = _defect(_conjugate(ms, h * e))
+        minus = _defect(_conjugate(ms, -h * e))
         cols.append((plus - minus) / (2 * h))
     return np.column_stack(cols)
 
@@ -145,13 +132,16 @@ _FOUR_GENERATOR_TARGET = ClassTarget(
     [((2, 3, 11), t) for t in sigma_2_3_11_targets()] + [((2, 3, 5, 7), _FOUR_GENERATOR_TARGET)],
 )
 def test_defect_jacobian_matches_central_differences(a, target, rng):
+    # The Jacobian is taken in the local chart around the current
+    # generators, so check it at points the chart has moved away from the
+    # diagonal configuration.
     pres = presentation(a)
     diags = _target_diagonals(target)
     for _ in range(3):
-        vec = rng.normal(size=9 * (pres.n - 1)) * 0.8
-        jac = _defect_jacobian(vec, diags)
+        ms = _conjugate(diags, rng.normal(size=9 * (pres.n - 1)) * 0.8)
+        jac = _defect_jacobian(ms)
         assert jac.shape == (18, 9 * (pres.n - 1))
-        fd = _central_difference(vec, diags)
+        fd = _central_difference(ms)
         np.testing.assert_allclose(jac, fd, rtol=0, atol=1e-6 * np.max(np.abs(jac)))
 
 
@@ -256,20 +246,26 @@ def test_search_is_reproducible_within_one_process():
 
 
 def test_iterations_count_every_residual_evaluation(monkeypatch):
-    # Each evaluation exponentiates one algebra element per generator
-    # beyond the first, Jacobian evaluations included.
-    calls = 0
+    # Every evaluation of the defect or of its Jacobian counts once, and
+    # every trial point beyond the diagonal start costs one exponential.
+    calls = {"defect": 0, "jacobian": 0, "lie_exp": 0}
 
-    def counting_lie_exp(x):
-        nonlocal calls
-        calls += 1
-        return lie_exp(x)
+    def counting(name, func):
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
 
-    monkeypatch.setattr("csu21.repfinder.lie_exp", counting_lie_exp)
+        return wrapper
+
+    monkeypatch.setattr("csu21.repfinder._defect", counting("defect", _defect))
+    monkeypatch.setattr("csu21.repfinder._defect_jacobian", counting("jacobian", _defect_jacobian))
+    monkeypatch.setattr("csu21.repfinder.lie_exp", counting("lie_exp", lie_exp))
     pres = presentation((2, 3, 11))
     result = find_representation(pres, sigma_2_3_11_targets()[4], seed=1, budget=64)
     assert result.converged
-    assert result.iterations == calls / (pres.n - 1)
+    assert calls["jacobian"] > 0
+    assert result.iterations == calls["defect"] + calls["jacobian"]
+    assert calls["lie_exp"] == calls["defect"] - 1
 
 
 def test_table_searches_stay_within_their_evaluation_count():
@@ -295,6 +291,32 @@ def test_search_random_starts_stay_finite(seed):
         assert result.converged
         assert not is_reducible(list(result.matrices))
         assert cs_closed(pres, extract_lift_data(pres, result, target)) == case.expected_cs
+
+
+_NEAR_MISS_TARGET = ClassTarget(
+    ((F(0), F(1, 2), F(1, 2)), (F(0), F(2, 3), F(1, 3)), (F(0), F(9, 11), F(2, 11))), F(0), (0, -1)
+)
+_DRIFTING_TARGET = ClassTarget(
+    ((F(1, 3), F(5, 6), F(5, 6)), (F(4, 9), F(1, 9), F(4, 9)), (F(5, 33), F(5, 33), F(23, 33))), F(2, 3), (-2, 1)
+)
+
+
+@pytest.mark.parametrize(
+    "target, budget",
+    [(_NEAR_MISS_TARGET, 16), (_DRIFTING_TARGET, 3)],
+    ids=["overflowing-steps", "singular-damped-step"],
+)
+def test_stalled_search_stays_finite_and_unconverged(target, budget):
+    # Every start stalls at a positive minimum.  On the first target large
+    # trial steps overflow inside the exponential, and the suite turns any
+    # RuntimeWarning into an error; on the second the generators drift so
+    # far that J^T J + mu I turns singular in floating point.  Either step
+    # must be rejected quietly.
+    pres = presentation((2, 3, 11))
+    result = find_representation(pres, target, seed=1, budget=budget)
+    assert np.isfinite(result.residual)
+    assert not result.converged
+    assert all(np.isfinite(m).all() for m in result.matrices)
 
 
 def test_converged_search_solves_case_five():
