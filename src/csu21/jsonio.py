@@ -16,14 +16,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .normal_forms import (
-    FAMILIES,
-    FAMILY_PARAMS,
-    NormalFormConnection,
-    _x_values,
-    _y_values,
-    family_tag,
-)
 from .repfinder import ClassTarget, SearchResult
 from .seifert import (
     CentralAngles,
@@ -33,13 +25,7 @@ from .seifert import (
     presentation,
 )
 from .ug21 import GElement
-from .variation import (
-    ConnectionPath,
-    LinearParam,
-    PolyParam,
-    SampledParam,
-    normal_form_from_params,
-)
+from .variation import ConnectionPath, LinearParam, PolyParam, SampledParam
 
 
 MAX_PANELS = 2**16  # largest quadrature panel count a document may ask for
@@ -211,22 +197,6 @@ def encode_angles(gens, central: CentralAngles) -> dict:
             "theta2_turns": encode_fraction(central.theta2_turns),
         },
     }
-
-
-def decode_normal_form(data) -> NormalFormConnection:
-    _require(isinstance(data, dict) and "family" in data, "normal form needs a 'family' tag")
-    family = data["family"]
-    _require(family in FAMILIES, "unknown family {!r}, expected one of {}", family, list(FAMILIES))
-    params = data.get("params", {})
-    _require(isinstance(params, dict), "'params' must be an object")
-    vals = {k: _real(v) for k, v in params.items()}
-    return normal_form_from_params(family, vals)
-
-
-def encode_normal_form(nf: NormalFormConnection) -> dict:
-    tag = family_tag(nf)
-    values = tuple(_x_values(nf)) + tuple(_y_values(nf))
-    return {"family": tag, "params": {n: float(v) for n, v in zip(FAMILY_PARAMS[tag], values)}}
 
 
 def _decode_param_curve(entry):

@@ -12,6 +12,12 @@ into one of four families according to the isometry type of its holonomy:
 * parabolic, case 2 -- minimal polynomial (x-1)^2, parameters
                      (theta1, theta2, p) and (tau1, tau2, q).
 
+One type, ``NormalForm(family, x, y)``, holds a connection of any
+family: ``x`` and ``y`` are its three x- and y-direction parameters, in
+the name order of FAMILY_X_PARAMS and FAMILY_Y_PARAMS.  The functions
+EllipticNF, LoxodromicNF, ParabolicC1NF and ParabolicC2NF build one from
+the per-family parameter names above.
+
 For each family the x- and y-coefficients come from a single linear
 "direction" builder applied to the x-parameters resp. y-parameters, and
 [cx, cy] = 0 holds identically, so the connection integrates to a global
@@ -30,48 +36,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .ug21 import GElement
 
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class EllipticNF:
-    alpha: tuple[float, float, float]
-    beta: tuple[float, float, float]
-
-
-@dataclass(frozen=True)
-class LoxodromicNF:
-    theta: tuple[float, float]
-    tau: tuple[float, float]
-    u: float
-    v: float
-
-
-@dataclass(frozen=True)
-class ParabolicC1NF:
-    alpha: float
-    beta: float
-    a: float
-    b: float
-    p: float
-    q: float
-
-
-@dataclass(frozen=True)
-class ParabolicC2NF:
-    theta: tuple[float, float]
-    tau: tuple[float, float]
-    p: float
-    q: float
-
-
-NormalFormConnection = Union[EllipticNF, LoxodromicNF, ParabolicC1NF, ParabolicC2NF]
 
 ELLIPTIC = "elliptic"
 LOXODROMIC = "loxodromic"
@@ -97,36 +67,37 @@ FAMILY_Y_PARAMS = {
 FAMILY_PARAMS = {f: FAMILY_X_PARAMS[f] + FAMILY_Y_PARAMS[f] for f in FAMILIES}
 
 
-def family_tag(nf: NormalFormConnection) -> str:
-    if isinstance(nf, EllipticNF):
-        return ELLIPTIC
-    if isinstance(nf, LoxodromicNF):
-        return LOXODROMIC
-    if isinstance(nf, ParabolicC1NF):
-        return PARABOLIC_C1
-    if isinstance(nf, ParabolicC2NF):
-        return PARABOLIC_C2
-    raise TypeError(f"not a normal form connection: {nf!r}")
+@dataclass(frozen=True)
+class NormalForm:
+    """Flat connection of one family with constant parameters.
+
+    ``x`` and ``y`` are the three direction parameters of the x- and
+    y-coefficient, in FAMILY_X_PARAMS resp. FAMILY_Y_PARAMS order.
+    """
+
+    family: str
+    x: tuple[float, float, float]
+    y: tuple[float, float, float]
+
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}, expected one of {list(FAMILIES)}")
 
 
-def _x_values(nf: NormalFormConnection) -> tuple[float, float, float]:
-    if isinstance(nf, EllipticNF):
-        return nf.alpha
-    if isinstance(nf, LoxodromicNF):
-        return (nf.theta[0], nf.theta[1], nf.u)
-    if isinstance(nf, ParabolicC1NF):
-        return (nf.alpha, nf.a, nf.p)
-    return (nf.theta[0], nf.theta[1], nf.p)
+def EllipticNF(alpha, beta) -> NormalForm:
+    return NormalForm(ELLIPTIC, tuple(alpha), tuple(beta))
 
 
-def _y_values(nf: NormalFormConnection) -> tuple[float, float, float]:
-    if isinstance(nf, EllipticNF):
-        return nf.beta
-    if isinstance(nf, LoxodromicNF):
-        return (nf.tau[0], nf.tau[1], nf.v)
-    if isinstance(nf, ParabolicC1NF):
-        return (nf.beta, nf.b, nf.q)
-    return (nf.tau[0], nf.tau[1], nf.q)
+def LoxodromicNF(theta, tau, u, v) -> NormalForm:
+    return NormalForm(LOXODROMIC, (theta[0], theta[1], u), (tau[0], tau[1], v))
+
+
+def ParabolicC1NF(alpha, beta, a, b, p, q) -> NormalForm:
+    return NormalForm(PARABOLIC_C1, (alpha, a, p), (beta, b, q))
+
+
+def ParabolicC2NF(theta, tau, p, q) -> NormalForm:
+    return NormalForm(PARABOLIC_C2, (theta[0], theta[1], p), (tau[0], tau[1], q))
 
 
 def direction_matrix(family: str, values) -> np.ndarray:
@@ -172,22 +143,21 @@ def direction_matrix(family: str, values) -> np.ndarray:
     return out
 
 
-def connection_coeffs(nf: NormalFormConnection) -> tuple[np.ndarray, np.ndarray]:
+def connection_coeffs(nf: NormalForm) -> tuple[np.ndarray, np.ndarray]:
     """Constant coefficient matrices (cx, cy) of the flat connection."""
-    tag = family_tag(nf)
-    return direction_matrix(tag, _x_values(nf)), direction_matrix(tag, _y_values(nf))
+    return direction_matrix(nf.family, nf.x), direction_matrix(nf.family, nf.y)
 
 
-def developing_map(nf: NormalFormConnection, x: float, y: float) -> GElement:
+def developing_map(nf: NormalForm, x: float, y: float) -> GElement:
     """Value at (x, y) of the developing map R^2 -> G with D(0,0) = 1."""
-    if isinstance(nf, EllipticNF):
-        phases = [TWO_PI * (a * x + b * y) for a, b in zip(nf.alpha, nf.beta)]
-        mat = np.diag([np.exp(1j * ph) for ph in phases])
-        return GElement(mat, phases[0] + phases[1] + phases[2], phases[2])
-    if isinstance(nf, LoxodromicNF):
-        ph1 = TWO_PI * (nf.theta[0] * x + nf.tau[0] * y)
-        ph2 = TWO_PI * (nf.theta[1] * x + nf.tau[1] * y)
-        s = nf.u * x + nf.v * y
+    v1, v2, v3 = (a * x + b * y for a, b in zip(nf.x, nf.y))
+    ph1, ph2 = TWO_PI * v1, TWO_PI * v2
+    if nf.family == ELLIPTIC:
+        ph3 = TWO_PI * v3
+        mat = np.diag([np.exp(1j * ph1), np.exp(1j * ph2), np.exp(1j * ph3)])
+        return GElement(mat, ph1 + ph2 + ph3, ph3)
+    if nf.family == LOXODROMIC:
+        s = v3
         e1, e2 = np.exp(1j * ph1), np.exp(1j * ph2)
         mat = np.array(
             [
@@ -197,11 +167,9 @@ def developing_map(nf: NormalFormConnection, x: float, y: float) -> GElement:
             ]
         )
         return GElement(mat, ph1 + 2.0 * ph2, ph2)
-    if isinstance(nf, ParabolicC1NF):
-        s = nf.a * x + nf.b * y
-        pp = nf.p * x + nf.q * y
-        ph = TWO_PI * (nf.alpha * x + nf.beta * y)
-        tw = np.exp(1j * ph)
+    if nf.family == PARABOLIC_C1:
+        s, pp = v2, v3
+        tw = np.exp(1j * ph1)
         half = 0.5 * s * s
         mat = tw * np.array(
             [
@@ -210,23 +178,19 @@ def developing_map(nf: NormalFormConnection, x: float, y: float) -> GElement:
                 [-half - 1j * pp, s, 1.0 + half + 1j * pp],
             ]
         )
-        return GElement(mat, 3.0 * ph, math.atan2(pp, 1.0 + half) + ph)
-    if isinstance(nf, ParabolicC2NF):
-        ph1 = TWO_PI * (nf.theta[0] * x + nf.tau[0] * y)
-        ph2 = TWO_PI * (nf.theta[1] * x + nf.tau[1] * y)
-        pp = nf.p * x + nf.q * y
-        e1, e2 = np.exp(1j * ph1), np.exp(1j * ph2)
-        mat = np.array(
-            [
-                [e1 * (1.0 - 1j * pp), 0.0, 1j * pp * e1],
-                [0.0, e2, 0.0],
-                [-1j * pp * e1, 0.0, e1 * (1.0 + 1j * pp)],
-            ]
-        )
-        return GElement(mat, 2.0 * ph1 + ph2, ph1 + math.atan(pp))
-    raise TypeError(f"not a normal form connection: {nf!r}")
+        return GElement(mat, 3.0 * ph1, math.atan2(pp, 1.0 + half) + ph1)
+    pp = v3
+    e1, e2 = np.exp(1j * ph1), np.exp(1j * ph2)
+    mat = np.array(
+        [
+            [e1 * (1.0 - 1j * pp), 0.0, 1j * pp * e1],
+            [0.0, e2, 0.0],
+            [-1j * pp * e1, 0.0, e1 * (1.0 + 1j * pp)],
+        ]
+    )
+    return GElement(mat, 2.0 * ph1 + ph2, ph1 + math.atan(pp))
 
 
-def holonomy(nf: NormalFormConnection) -> tuple[GElement, GElement]:
+def holonomy(nf: NormalForm) -> tuple[GElement, GElement]:
     """G-holonomy (rho(mu), rho(lambda)) of the two basic torus loops."""
     return developing_map(nf, 1.0, 0.0), developing_map(nf, 0.0, 1.0)

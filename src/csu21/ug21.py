@@ -75,9 +75,15 @@ def angle_dist(x: float, y: float) -> float:
 
 
 def check_u21(m: np.ndarray) -> float:
-    """Max-norm residual of the form condition J m^H J m = I."""
+    """Max-norm residual of the form condition J m^H J m = I.
+
+    A residual that is not finite (J m^H J m overflowing, possibly to
+    inf - inf = NaN) is returned as ``math.inf``, so every ``residual >
+    tol`` test rejects the matrix.
+    """
     m = np.asarray(m, dtype=complex)
-    return float(np.max(np.abs(J @ m.conj().T @ J @ m - np.eye(3))))
+    res = float(np.max(np.abs(J @ m.conj().T @ J @ m - np.eye(3))))
+    return res if math.isfinite(res) else math.inf
 
 
 def u21_algebra_residual(x: np.ndarray) -> float:

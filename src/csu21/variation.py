@@ -21,11 +21,13 @@ trace per family gives closed Wronskian formulas:
 integrates the trace density by composite Simpson; agreement of the two
 routes is the module's main cross-check.
 
-Parameters move along paths of three kinds: linear between endpoints,
-polynomial in t (ascending coefficients), or explicitly sampled on a
-uniform grid.  Linear and polynomial paths integrate exactly; sampled
-paths are differentiated by second-order finite differences and both
-routes then run on the shared sample grid, so they see identical data.
+Parameters move along paths of two kinds: polynomial in t (ascending
+coefficients; a linear path between endpoints is the degree-1 case), or
+explicitly sampled on a uniform grid.  On polynomial paths the closed
+route works from the coefficients: it convolves them into the
+Wronskian's coefficients and integrates those exactly.  Sampled paths
+are differentiated by second-order finite differences and both routes
+then run on the shared sample grid, so they see identical data.
 
 The module also evaluates the change of CS under the basic gauge loops
 h(x, y) = diag(e^{2 pi i (mx+ny)}, e^{-2 pi i (mx+ny)}, 1) on an
@@ -45,7 +47,6 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 import numpy as np
-from numpy.polynomial import Polynomial
 from scipy.integrate import simpson
 
 from .normal_forms import (
@@ -54,11 +55,7 @@ from .normal_forms import (
     FAMILY_PARAMS,
     FAMILY_X_PARAMS,
     FAMILY_Y_PARAMS,
-    EllipticNF,
-    LoxodromicNF,
-    NormalFormConnection,
-    ParabolicC1NF,
-    ParabolicC2NF,
+    NormalForm,
     connection_coeffs,
     direction_matrix,
 )
@@ -73,14 +70,6 @@ class FamilyMismatch(ValueError):
 
 
 @dataclass(frozen=True)
-class LinearParam:
-    """Parameter moving linearly from ``start`` to ``end`` over [0, 1]."""
-
-    start: float
-    end: float
-
-
-@dataclass(frozen=True)
 class PolyParam:
     """Polynomial parameter path, ascending coefficients in t."""
 
@@ -89,6 +78,11 @@ class PolyParam:
     def __post_init__(self):
         if not self.coeffs:
             raise ValueError("polynomial parameter needs at least one coefficient")
+
+
+def LinearParam(start: float, end: float) -> PolyParam:
+    """Parameter moving linearly from ``start`` to ``end`` over [0, 1]."""
+    return PolyParam((start, end - start))
 
 
 @dataclass(frozen=True)
@@ -102,9 +96,9 @@ class SampledParam:
             raise ValueError(f"sampled parameter needs >= {MIN_SAMPLES} values, got {len(self.values)}")
 
 
-ParamCurve = Union[LinearParam, PolyParam, SampledParam]
+ParamCurve = Union[PolyParam, SampledParam]
 
-_ZERO = LinearParam(0.0, 0.0)
+_ZERO = PolyParam((0.0,))
 
 
 @dataclass(frozen=True)
@@ -143,49 +137,43 @@ class ConnectionPath:
 
     def values_on(self, t: np.ndarray, name: str) -> np.ndarray:
         c = self._curve(name)
-        if isinstance(c, LinearParam):
-            return c.start + (c.end - c.start) * t
         if isinstance(c, PolyParam):
-            return Polynomial(c.coeffs)(t)
-        vals = np.asarray(c.values, dtype=float)
-        if len(vals) != len(t):
-            raise ValueError("sampled parameter does not match the evaluation grid")
-        return vals
+            return _horner(c.coeffs, t)
+        return _samples_on(c, t)
 
     def derivs_on(self, t: np.ndarray, name: str) -> np.ndarray:
         c = self._curve(name)
-        if isinstance(c, LinearParam):
-            return np.full_like(t, c.end - c.start)
         if isinstance(c, PolyParam):
-            return Polynomial(c.coeffs).deriv()(t)
-        vals = np.asarray(c.values, dtype=float)
-        if len(vals) != len(t):
-            raise ValueError("sampled parameter does not match the evaluation grid")
-        return np.gradient(vals, t[1] - t[0], edge_order=2)
+            return _horner(_deriv(c.coeffs), t)
+        return np.gradient(_samples_on(c, t), t[1] - t[0], edge_order=2)
 
-    def at(self, t: float) -> NormalFormConnection:
+    def at(self, t: float) -> NormalForm:
         """Normal form at parameter time t (smooth parameter kinds only)."""
         tt = np.asarray([float(t)])
-        vals = {name: float(self.values_on(tt, name)[0]) for name in FAMILY_PARAMS[self.family]}
-        return normal_form_from_params(self.family, vals)
-
-
-def normal_form_from_params(family: str, vals: Mapping[str, float]) -> NormalFormConnection:
-    """Build a normal form from a flat name -> value mapping."""
-    stray = sorted(set(vals) - set(FAMILY_PARAMS[family]))
-    if stray:
-        raise FamilyMismatch(f"parameters {stray} do not belong to family {family!r}")
-    v = {name: float(vals.get(name, 0.0)) for name in FAMILY_PARAMS[family]}
-    if family == ELLIPTIC:
-        return EllipticNF(
-            (v["alpha1"], v["alpha2"], v["alpha3"]),
-            (v["beta1"], v["beta2"], v["beta3"]),
+        x, y = (
+            tuple(float(self.values_on(tt, name)[0]) for name in names)
+            for names in (FAMILY_X_PARAMS[self.family], FAMILY_Y_PARAMS[self.family])
         )
-    if family == "loxodromic":
-        return LoxodromicNF((v["theta1"], v["theta2"]), (v["tau1"], v["tau2"]), v["u"], v["v"])
-    if family == "parabolic_c1":
-        return ParabolicC1NF(v["alpha"], v["beta"], v["a"], v["b"], v["p"], v["q"])
-    return ParabolicC2NF((v["theta1"], v["theta2"]), (v["tau1"], v["tau2"]), v["p"], v["q"])
+        return NormalForm(self.family, x, y)
+
+
+def _horner(coeffs, t: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(t)
+    for c in reversed(coeffs):
+        out = out * t + c
+    return out
+
+
+def _deriv(coeffs) -> np.ndarray:
+    """Ascending coefficients of the derivative."""
+    return np.arange(1, len(coeffs)) * np.asarray(coeffs[1:], dtype=float)
+
+
+def _samples_on(c: SampledParam, t: np.ndarray) -> np.ndarray:
+    vals = np.asarray(c.values, dtype=float)
+    if len(vals) != len(t):
+        raise ValueError("sampled parameter does not match the evaluation grid")
+    return vals
 
 
 # (x-name, y-name, weight) triples: the closed variation formula of each
@@ -206,25 +194,22 @@ WRONSKIAN_TERMS = {
 }
 
 
-def _as_poly(curve: ParamCurve) -> Polynomial:
-    if isinstance(curve, LinearParam):
-        return Polynomial([curve.start, curve.end - curve.start])
-    if isinstance(curve, PolyParam):
-        return Polynomial(curve.coeffs)
-    raise TypeError("sampled curves have no polynomial form")
+def _wronskian_integral_exact(f: PolyParam, g: PolyParam) -> float:
+    """int_0^1 (f g' - f' g) dt for polynomial curves, exactly.
 
-
-def _wronskian_integral_exact(f: ParamCurve, g: ParamCurve) -> float:
-    """int_0^1 (f g' - f' g) dt for linear/polynomial curves, exactly."""
-    pf, pg = _as_poly(f), _as_poly(g)
-    w = (pf * pg.deriv() - pf.deriv() * pg).integ()
-    return float(w(1.0) - w(0.0))
+    With f = sum a_i t^i and g = sum b_j t^j, the t^(k-1) coefficient of
+    f g' - f' g is w_k = sum_{i+j=k} a_i b_j (j - i), and its integral
+    over [0, 1] is sum_{k>=1} w_k / k (w_0 vanishes).
+    """
+    a, b = np.asarray(f.coeffs, dtype=float), np.asarray(g.coeffs, dtype=float)
+    w = np.convolve(a, np.arange(len(b)) * b) - np.convolve(np.arange(len(a)) * a, b)
+    return float(np.sum(w[1:] / np.arange(1, len(w))))
 
 
 def cs_delta_closed(path: ConnectionPath) -> float:
     """CS change along the path, by the per-family closed formula.
 
-    Linear and polynomial parameter paths integrate exactly; paths with
+    Polynomial parameter paths integrate exactly; paths with
     sampled parameters evaluate the Wronskian density on the sample grid
     (second-order differences) and integrate by Simpson.
     """
@@ -276,7 +261,7 @@ def gauge_shift_closed(m: int, n: int, alpha, beta) -> float:
     return 0.5 * m * (beta[0] - beta[1]) - 0.5 * n * (alpha[0] - alpha[1])
 
 
-def gauge_shift_boundary_integral(nf: NormalFormConnection, n_grid: int = 256) -> float:
+def gauge_shift_boundary_integral(nf: NormalForm, n_grid: int = 256) -> float:
     """Boundary-torus integral form of the basic (1, 0) gauge shift.
 
     Gauging an elliptic connection A by g(x) = diag(e^{2 pi i x},
@@ -285,7 +270,7 @@ def gauge_shift_boundary_integral(nf: NormalFormConnection, n_grid: int = 256) -
     average over x (spectrally accurate) evaluates the torus integral.
     Matches gauge_shift_closed(1, 0, alpha, beta).
     """
-    if not isinstance(nf, EllipticNF):
+    if nf.family != ELLIPTIC:
         raise TypeError("gauge loops in this normal form act on elliptic connections")
     if n_grid < 16:
         raise ValueError(f"n_grid must be >= 16, got {n_grid}")

@@ -145,7 +145,7 @@ def test_acceptance_4_gauge_boundary_integral():
     worst = 0.0
     for _ in range(20):
         nf = random_normal_form(rng, "elliptic")
-        closed = gauge_shift_closed(1, 0, nf.alpha, nf.beta)
+        closed = gauge_shift_closed(1, 0, nf.x, nf.y)
         worst = max(worst, abs(gauge_shift_boundary_integral(nf, n_grid=256) - closed))
     ok = worst <= 1e-8
     _verdict(

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -230,6 +231,22 @@ _OVERFLOWING = encode_matrix(np.eye(3))
 _OVERFLOWING[0][0][0] = 1e308
 _OVERFLOWING_G = {"matrix": _OVERFLOWING, "theta1": 0.0, "theta2": 0.0}
 
+# J m^H J m overflows to inf - inf here, so the raw residual is NaN.  The
+# angles are the matrix's own, so mul has only the residual to reject it.
+_NAN_RESIDUAL_M = np.array(
+    [
+        [0.24868988716485496 + 0.9685831611286311j, 2 + 1e308j, 0.0],
+        [0.0, -0.9921147013144779 - 0.12533323356430429j, 0.0],
+        [0.0, 0.0, 0.7705132427757893 + 0.6374239897486896j],
+    ]
+)
+_NAN_RESIDUAL = encode_matrix(_NAN_RESIDUAL_M)
+_NAN_RESIDUAL_G = {
+    "matrix": _NAN_RESIDUAL,
+    "theta1": float(np.angle(np.linalg.det(_NAN_RESIDUAL_M))),
+    "theta2": float(np.angle(_NAN_RESIDUAL_M[2, 2])),
+}
+
 
 @pytest.mark.parametrize(
     "command, doc, payload",
@@ -237,8 +254,11 @@ _OVERFLOWING_G = {"matrix": _OVERFLOWING, "theta1": 0.0, "theta2": 0.0}
         ("classify", {"matrix": _OVERFLOWING}, {"residual": None}),
         ("check-u21", {"matrix": _OVERFLOWING}, {"kind": "matrix", "residual": None, "valid": False}),
         ("mul", {"g": _OVERFLOWING_G, "h": _OVERFLOWING_G}, {}),
+        ("classify", {"matrix": _NAN_RESIDUAL}, {"residual": None}),
+        ("check-u21", {"matrix": _NAN_RESIDUAL}, {"kind": "matrix", "residual": None, "valid": False}),
+        ("mul", {"g": _NAN_RESIDUAL_G, "h": _NAN_RESIDUAL_G}, {}),
     ],
-    ids=["classify", "check-u21", "mul"],
+    ids=["classify", "check-u21", "mul", "classify-nan", "check-u21-nan", "mul-nan"],
 )
 def test_overflowing_matrix_gives_strict_json_and_no_warnings(monkeypatch, capsys, command, doc, payload):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
@@ -306,6 +326,23 @@ def test_variation_accepts_poly_and_samples(run):
     payload = _envelope(out)["payload"]
     assert abs(payload["closed"] - (-1.5)) <= 1e-9
     assert payload["difference"] <= 1e-9
+
+
+def test_variation_of_long_polynomials_stays_fast(run):
+    # Coefficient lists have no length cap: the closed route must not
+    # loop over coefficient pairs in Python.
+    rng = np.random.default_rng(6000)
+    doc = {
+        "family": "elliptic",
+        "params": {name: {"kind": "poly", "coeffs": list(rng.uniform(-1.0, 1.0, 6000))} for name in ("alpha1", "beta1")},
+    }
+    text = json.dumps(doc)
+    start = time.perf_counter()
+    code, out = run(["variation", "--json"], stdin_text=text)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert _envelope(out)["status"] == "ok"
+    assert elapsed < 1.0
 
 
 def test_variation_rejects_stray_parameter(run):

@@ -10,13 +10,13 @@ from csu21 import (
     EllipticNF,
     IsometryType,
     LoxodromicNF,
+    NormalForm,
     ParabolicC1NF,
     ParabolicC2NF,
     check_u21,
     classify,
     connection_coeffs,
     developing_map,
-    family_tag,
     g_multiply,
     holonomy,
     u21_algebra_residual,
@@ -27,12 +27,12 @@ TWO_PI = 2.0 * math.pi
 
 
 def test_family_tags():
-    assert family_tag(EllipticNF((0, 0, 0), (0, 0, 0))) == "elliptic"
-    assert family_tag(LoxodromicNF((0, 0), (0, 0), 0, 0)) == "loxodromic"
-    assert family_tag(ParabolicC1NF(0, 0, 0, 0, 0, 0)) == "parabolic_c1"
-    assert family_tag(ParabolicC2NF((0, 0), (0, 0), 0, 0)) == "parabolic_c2"
-    with pytest.raises(TypeError):
-        family_tag("nope")
+    assert EllipticNF((0, 0, 0), (0, 0, 0)).family == "elliptic"
+    assert LoxodromicNF((0, 0), (0, 0), 0, 0).family == "loxodromic"
+    assert ParabolicC1NF(0, 0, 0, 0, 0, 0).family == "parabolic_c1"
+    assert ParabolicC2NF((0, 0), (0, 0), 0, 0).family == "parabolic_c2"
+    with pytest.raises(ValueError):
+        NormalForm("nope", (0, 0, 0), (0, 0, 0))
 
 
 def test_coeffs_zero_connection():

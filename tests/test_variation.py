@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from csu21 import (
     ConnectionPath,
-    EllipticNF,
     FamilyMismatch,
     LinearParam,
     PolyParam,
@@ -21,7 +20,6 @@ from csu21 import (
     gauge_shift_boundary_integral,
     gauge_shift_closed,
     mod_z,
-    normal_form_from_params,
 )
 from csu21.normal_forms import FAMILIES, FAMILY_PARAMS, connection_coeffs
 
@@ -85,8 +83,6 @@ def test_stray_parameter_rejected():
         ConnectionPath("elliptic", {"u": LinearParam(0.0, 1.0)})
     with pytest.raises(FamilyMismatch):
         ConnectionPath("no_such_family", {})
-    with pytest.raises(FamilyMismatch):
-        normal_form_from_params("loxodromic", {"alpha1": 0.2})
 
 
 def test_sampled_grids_must_agree():
@@ -123,9 +119,9 @@ def test_path_snapshot_matches_parameter_values():
         {"alpha1": LinearParam(0.0, 1.0), "beta3": PolyParam((0.5, 0.0, 1.0))},
     )
     nf = path.at(0.25)
-    assert isinstance(nf, EllipticNF)
-    assert nf.alpha == (0.25, 0.0, 0.0)
-    assert nf.beta == (0.0, 0.0, 0.5 + 0.25**2)
+    assert nf.family == "elliptic"
+    assert nf.x == (0.25, 0.0, 0.0)
+    assert nf.y == (0.0, 0.0, 0.5 + 0.25**2)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +142,49 @@ def test_closed_matches_quadrature_on_cubic_paths(rng):
             closed = cs_delta_closed(path)
             quad = cs_delta_quadrature(path, n=1024)
             assert abs(closed - quad) <= 1e-8
+
+
+# (x-name, y-name, weight) of each family's closed formula, transcribed
+# from the module docstring: the loxodromic translation term
+# int (u' v - u v') is the Wronskian of (v, u).
+_EXACT_TERMS = {
+    "elliptic": (("alpha1", "beta1", Fraction(1, 2)), ("alpha2", "beta2", Fraction(1, 2)), ("alpha3", "beta3", Fraction(1, 2))),
+    "loxodromic": (("theta1", "tau1", Fraction(1, 2)), ("theta2", "tau2", Fraction(1)), ("v", "u", Fraction(1.0 / (4.0 * math.pi**2)))),
+    "parabolic_c1": (("alpha", "beta", Fraction(3, 2)),),
+    "parabolic_c2": (("theta1", "tau1", Fraction(1)), ("theta2", "tau2", Fraction(1, 2))),
+}
+
+
+def _exact_variation(family, coeffs):
+    """Sum of w * int_0^1 (f g' - f' g) dt in Fractions, and the same sum
+    over the terms' absolute values (the scale rounding errors act on)."""
+    value = scale = Fraction(0)
+    for f, g, w in _EXACT_TERMS[family]:
+        for i, a in enumerate(coeffs.get(f, [0])):
+            for j, b in enumerate(coeffs.get(g, [0])):
+                if i + j:  # int_0^1 (j - i) t^(i+j-1) dt = (j - i) / (i + j)
+                    term = w * a * b * (j - i) / (i + j)
+                    value += term
+                    scale += abs(term)
+    return value, scale
+
+
+def test_closed_route_matches_exact_fractions_on_polynomial_paths(rng):
+    # Dyadic coefficients are exact floats, so the reference sees the
+    # same data.  The exact sum can cancel to near zero, so the bound is
+    # relative to the sum of the terms' absolute values.
+    for family in FAMILIES:
+        for _ in range(50):
+            coeffs = {
+                name: [Fraction(int(rng.integers(-(2**20), 2**20 + 1)), 2**20) for _ in range(int(rng.integers(0, 5)) + 1)]
+                for name in FAMILY_PARAMS[family]
+                if rng.random() < 0.8
+            }
+            path = ConnectionPath(family, {n: PolyParam(tuple(float(c) for c in cs)) for n, cs in coeffs.items()})
+            closed = cs_delta_closed(path)
+            assert type(closed) is float
+            value, scale = _exact_variation(family, coeffs)
+            assert abs(Fraction(closed) - value) <= Fraction(1e-13) * scale
 
 
 def test_integrand_matches_per_family_trace_combination(rng):
@@ -238,7 +277,7 @@ def test_gauge_shift_closed_values():
 def test_gauge_boundary_integral_matches_closed_form(rng):
     for _ in range(20):
         nf = random_normal_form(rng, "elliptic")
-        closed = gauge_shift_closed(1, 0, nf.alpha, nf.beta)
+        closed = gauge_shift_closed(1, 0, nf.x, nf.y)
         integral = gauge_shift_boundary_integral(nf, n_grid=256)
         assert abs(integral - closed) <= 1e-8
 
