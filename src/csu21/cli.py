@@ -24,7 +24,7 @@ Exit codes:
        sample count)
     2  validation failure: any check after decoding; also argparse's
        usage error for a bad option, such as a tolerance that is not a
-       finite number > 0
+       finite number > 0, a budget below 1 or a negative seed
     3  the search did not converge
 
 Commands read their document through ``_parse``, the only place that
@@ -45,12 +45,13 @@ from pathlib import Path
 import numpy as np
 
 from . import jsonio
-from .repfinder import CONVERGED_RESIDUAL, extract_lift_data, find_representation, implied_angles
+from .repfinder import CONVERGED_RESIDUAL, extract_lift_data, find_representation
 from .seifert import (
     burns_epstein,
     canonical_lift_data,
     cs_closed,
     cs_pipeline,
+    implied_angles,
     presentation,
     sigma_2_3_11_fixture,
     validate_rep,
@@ -124,7 +125,7 @@ def cmd_verify_table(args):
     rows = []
     for case in cases:
         data = canonical_lift_data(pres, case.generators, case.central)
-        pipe = cs_pipeline(pres, data)
+        pipe = cs_pipeline(pres, data, validate=False)
         row = {
             "case": case.label,
             "expected": jsonio.encode_fraction(case.expected_cs),
@@ -133,7 +134,7 @@ def cmd_verify_table(args):
         match = pipe == case.expected_cs
         value = pipe
         if not args.pipeline_only:
-            closed = cs_closed(pres, data)
+            closed = cs_closed(pres, data, validate=False)
             row["closed"] = jsonio.encode_fraction(closed)
             match = match and closed == case.expected_cs
             value = closed
@@ -200,7 +201,7 @@ def cmd_find_reps(args):
             ],
         )
     data = extract_lift_data(pres, result, target)
-    cs = cs_closed(pres, data)
+    cs = cs_closed(pres, data, validate=False)
     payload = {
         "presentation": jsonio.encode_presentation(pres),
         "search": jsonio.encode_search_result(result),
@@ -281,6 +282,21 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _int_at_least(low: int):
+    """argparse type of an integer >= ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -307,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("classify", cmd_classify, "isometry type of a U(2,1) matrix")
     add("variation", cmd_variation, "CS change along a connection path")
     p = add("find-reps", cmd_find_reps, "search for representations in prescribed classes")
-    p.add_argument("--seed", type=int, default=0, help="search RNG seed")
-    p.add_argument("--budget", type=int, default=64, help="number of search starts")
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="search RNG seed")
+    p.add_argument("--budget", type=_int_at_least(1), default=64, help="number of search starts")
     add("mul", cmd_mul, "multiply two universal-cover elements")
     add("check-u21", cmd_check_u21, "validate a matrix or cover element")
     return parser

@@ -16,9 +16,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .repfinder import ClassTarget, SearchResult
+from .repfinder import SearchResult
 from .seifert import (
     CentralAngles,
+    ClassTarget,
     GeneratorAngles,
     LiftedRepData,
     SeifertPresentation,

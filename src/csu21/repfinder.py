@@ -2,10 +2,12 @@
 
 A representation of the Seifert presentation <x_1, ..., x_n, h central |
 x_i^{a_i} h^{b_i} = 1, x_1 ... x_n = 1> with elliptic generator images
-is sought inside U(2,1).  The target conjugacy class of each x_i is a
-diagonal phase triple (rotation numbers in [0, 1)); the central h is the
-scalar e^{2 pi i f_0} I together with the two covering-angle lift
-integers that select its sheet in the universal cover.
+is sought inside U(2,1).  The target is a ``seifert.ClassTarget``: the
+conjugacy class of each x_i is a diagonal phase triple (rotation numbers
+in [0, 1)); the central h is the scalar e^{2 pi i f_0} I together with
+the two covering-angle lift integers that select its sheet in the
+universal cover.  Class targets and the exact rule that lifts them live
+in ``seifert``; this module is numerics only.
 
 The search keeps each generator beyond the first in its target class,
 x_i = U D_i U^{-1} with D_i the exact target diagonal and U in U(2,1);
@@ -43,21 +45,11 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .seifert import (
-    CentralAngles,
-    GeneratorAngles,
-    LiftedRepData,
-    SeifertPresentation,
-    Unliftable,
-    canonical_lift_data,
-    sigma_2_3_11_fixture,
-)
+from .seifert import ClassTarget, LiftedRepData, SeifertPresentation, canonical_lift_data, implied_angles
 from .ug21 import J, algebra_element, lie_exp
-from .variation import mod_z
 
 # A full residual (``relation_residual``) at most this counts as a
 # solution.  Searches of all 1386 liftable Sigma(2, 3, 11) targets split
@@ -74,30 +66,6 @@ class SnapFailure(ValueError):
     """Computed eigenphases do not match the exact target classes."""
 
 
-def _unit_fraction(v) -> Fraction:
-    f = Fraction(v)
-    if not 0 <= f < 1:
-        raise ValueError(f"rotation numbers must lie in [0, 1), got {f}")
-    return f
-
-
-@dataclass(frozen=True)
-class ClassTarget:
-    """Target conjugacy classes: rotation numbers per generator plus the
-    central scalar's rotation number and covering-lift integers."""
-
-    fractions: tuple[tuple[Fraction, Fraction, Fraction], ...]
-    central_fraction: Fraction
-    central_lifts: tuple[int, int]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "fractions", tuple(tuple(_unit_fraction(f) for f in tri) for tri in self.fractions)
-        )
-        object.__setattr__(self, "central_fraction", _unit_fraction(self.central_fraction))
-        object.__setattr__(self, "central_lifts", tuple(int(k) for k in self.central_lifts))
-
-
 @dataclass(frozen=True)
 class SearchResult:
     """Best candidate of a search.  ``iterations`` counts the evaluations
@@ -111,40 +79,6 @@ class SearchResult:
     @property
     def converged(self) -> bool:
         return self.residual <= CONVERGED_RESIDUAL
-
-
-def target_from_angles(generators, central: CentralAngles) -> ClassTarget:
-    """Reduce exact angle data to a class target (rotation numbers + lifts)."""
-    fractions = tuple(tuple(mod_z(f) for f in gen.fractions) for gen in generators)
-    f0 = mod_z(central.theta2_turns)
-    k2 = central.theta2_turns - f0
-    k1 = central.theta1_turns - 3 * f0
-    if k1.denominator != 1 or k2.denominator != 1:
-        raise Unliftable(f"central angles ({central.theta1_turns}, {central.theta2_turns}) are not a lift of a scalar")
-    return ClassTarget(fractions, f0, (k1.numerator, k2.numerator))
-
-
-def implied_angles(pres: SeifertPresentation, target: ClassTarget):
-    """Exact per-generator lift angles forced by the relations.
-
-    The power relation x_i^{a_i} h^{b_i} = 1 determines both covering
-    angles of x_i's lift from the central lift: theta_i = -b_i theta_0 /
-    a_i in each coordinate.
-    """
-    if len(target.fractions) != pres.n:
-        raise Unliftable(f"{pres.n} generator classes expected, got {len(target.fractions)}")
-    f0 = target.central_fraction
-    k1, k2 = target.central_lifts
-    central = CentralAngles(3 * f0 + k1, f0 + k2)
-    gens = tuple(
-        GeneratorAngles(
-            tri,
-            -Fraction(pres.b[i]) * central.theta1_turns / pres.a[i],
-            -Fraction(pres.b[i]) * central.theta2_turns / pres.a[i],
-        )
-        for i, tri in enumerate(target.fractions)
-    )
-    return gens, central
 
 
 def _target_diagonals(target: ClassTarget) -> np.ndarray:
@@ -349,10 +283,3 @@ def extract_lift_data(
             )
     gens, central = implied_angles(pres, target)
     return canonical_lift_data(pres, gens, central)
-
-
-def sigma_2_3_11_targets() -> tuple[ClassTarget, ...]:
-    """Class targets of the five irreducible Sigma(2, 3, 11) classes."""
-    return tuple(
-        target_from_angles(case.generators, case.central) for case in sigma_2_3_11_fixture()
-    )

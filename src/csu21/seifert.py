@@ -34,21 +34,39 @@ variation formulas through a path of cone connections:
     cs(B_0) = (a/2) (s_n/a_n) (-P + Q + 2 S'),      S' = sum_{i<n} s_i/a_i,
 
 with cs = cs(A_0) - cs(B_0) mod Z.  Both routes are implemented on
-``fractions.Fraction`` throughout -- floating point never enters this
-module -- and their exact agreement is a standing cross-check.
+``fractions.Fraction`` throughout, and their exact agreement is a
+standing cross-check.  The data and angle types reject floats; ``mod_z``
+alone also accepts them, and reduces them in double precision.
 
-``sigma_2_3_11_fixture`` freezes the five irreducible classes of
-Sigma(2, 3, 11) with invariants 13/66, 13/66, 7/66, 7/66, 25/66.
+Angle data comes in two forms.  ``GeneratorAngles`` and
+``CentralAngles`` give the covering angles of a lift in turns: theta1
+is the total phase angle (the sum of the three rotation numbers of the
+lift) and theta2 is the r-slot angle.  A ``ClassTarget`` gives only the
+conjugacy classes: each generator's rotation numbers in [0, 1), the
+central scalar e^{2 pi i f_0} I by f_0 in [0, 1), and two integers
+(k_1, k_2) that select the central element's sheet in the cover.  The
+relations turn a target into lift angles:
+
+    theta1_0 = 3 f_0 + k_1,    theta2_0 = f_0 + k_2,
+    theta1_i = -b_i theta1_0 / a_i,    theta2_i = -b_i theta2_0 / a_i,
+
+and ``canonical_lift_data`` splits theta1_0 = p_0 + q_0 + r_0 with
+r_0 = theta2_0 and p_0, q_0 as balanced as possible.
+``target_from_angles`` is the reverse reduction and ``implied_angles``
+the forward rule.
+
+``sigma_2_3_11_fixture`` holds the five irreducible classes of
+Sigma(2, 3, 11) with invariants 13/66, 13/66, 7/66, 7/66, 25/66, and
+``sigma_2_3_11_targets`` their class targets.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .variation import mod_z
 
 
 class NotCoprime(ValueError):
@@ -151,6 +169,14 @@ def presentation(a, b=None) -> SeifertPresentation:
     return SeifertPresentation(a, tuple(b) if b is not None else solve_b(a))
 
 
+def mod_z(value):
+    """Reduce to the representative in [0, 1); exact for Fractions."""
+    if isinstance(value, Fraction):
+        return value - (value.numerator // value.denominator)
+    v = float(value) % 1.0
+    return 0.0 if v >= 1.0 else v
+
+
 def _frac(v) -> Fraction:
     if isinstance(v, float):
         raise TypeError("this module is exact; pass Fraction/int, not float")
@@ -179,6 +205,9 @@ class LiftedRepData:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One named identity of ``validate_rep``; ``detail`` shows the two
+    sides when the check fails and is "" when it passes."""
+
     name: str
     ok: bool
     detail: str
@@ -205,26 +234,28 @@ def validate_rep(pres: SeifertPresentation, data: LiftedRepData) -> ValidationRe
     checks = []
 
     def add(name, ok, detail):
-        checks.append(CheckResult(name, ok, detail))
+        """``detail`` is a callable, called only when the check fails."""
+        checks.append(CheckResult(name, ok, "" if ok else detail()))
 
-    add("p_0-q_0 in Z", (data.p0 - data.q0).denominator == 1, f"p_0-q_0 = {data.p0 - data.q0}")
-    add("p_0-r_0 in Z", (data.p0 - data.r0).denominator == 1, f"p_0-r_0 = {data.p0 - data.r0}")
+    dq, dr = data.p0 - data.q0, data.p0 - data.r0
+    add("p_0-q_0 in Z", dq.denominator == 1, lambda: f"p_0-q_0 = {dq}")
+    add("p_0-r_0 in Z", dr.denominator == 1, lambda: f"p_0-r_0 = {dr}")
     for i in range(n):
-        ai, bi = pres.a[i], pres.b[i]
+        ai, bi, si = pres.a[i], pres.b[i], data.s[i]
         lhs = ai * data.p[i] + bi * data.p0
-        add("a_ip_i+b_ip_0=s_i", lhs == data.s[i], f"i={i + 1}: {lhs} vs s_i={data.s[i]}")
+        add("a_ip_i+b_ip_0=s_i", lhs == si, lambda: f"i={i + 1}: {lhs} vs s_i={si}")
         lhs = ai * data.q[i] + bi * data.q0
-        add("a_iq_i+b_iq_0=-s_i", lhs == -data.s[i], f"i={i + 1}: {lhs} vs -s_i={-data.s[i]}")
+        add("a_iq_i+b_iq_0=-s_i", lhs == -si, lambda: f"i={i + 1}: {lhs} vs -s_i={-si}")
         lhs = ai * data.r[i] + bi * data.r0
-        add("a_ir_i+b_ir_0=0", lhs == 0, f"i={i + 1}: {lhs} vs 0")
+        add("a_ir_i+b_ir_0=0", lhs == 0, lambda: f"i={i + 1}: {lhs} vs 0")
     ssum = sum(Fraction(data.s[i], pres.a[i]) for i in range(n))
     total = pres.product
     psum = sum(data.p, Fraction(0)) + data.p0 / total
-    add("sum s_i/a_i=sum p_i+p_0/a", ssum == psum, f"{ssum} vs {psum}")
+    add("sum s_i/a_i=sum p_i+p_0/a", ssum == psum, lambda: f"{ssum} vs {psum}")
     qsum = -sum(data.q, Fraction(0)) - data.q0 / total
-    add("sum s_i/a_i=-sum q_i-q_0/a", ssum == qsum, f"{ssum} vs {qsum}")
+    add("sum s_i/a_i=-sum q_i-q_0/a", ssum == qsum, lambda: f"{ssum} vs {qsum}")
     rsum = -total * sum(data.r, Fraction(0))
-    add("r_0=-a*sum r_i", data.r0 == rsum, f"r_0={data.r0} vs -a*sum r_i={rsum}")
+    add("r_0=-a*sum r_i", data.r0 == rsum, lambda: f"r_0={data.r0} vs -a*sum r_i={rsum}")
     return ValidationReport(tuple(checks))
 
 
@@ -354,9 +385,66 @@ def canonical_lift_data(
         r.append(r_i)
         s.append(s_i.numerator)
     data = LiftedRepData(p0, q0, r0, tuple(p), tuple(q), tuple(r), tuple(s))
-    report = validate_rep(pres, data)
-    assert report.ok, f"internal: assembled data fails {report.failures()}"
+    _require_valid(pres, data, True)
     return data
+
+
+def _unit_fraction(v) -> Fraction:
+    f = Fraction(v)
+    if not 0 <= f < 1:
+        raise ValueError(f"rotation numbers must lie in [0, 1), got {f}")
+    return f
+
+
+@dataclass(frozen=True)
+class ClassTarget:
+    """Target conjugacy classes: rotation numbers per generator plus the
+    central scalar's rotation number and covering-lift integers."""
+
+    fractions: tuple[tuple[Fraction, Fraction, Fraction], ...]
+    central_fraction: Fraction
+    central_lifts: tuple[int, int]
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "fractions", tuple(tuple(_unit_fraction(f) for f in tri) for tri in self.fractions)
+        )
+        object.__setattr__(self, "central_fraction", _unit_fraction(self.central_fraction))
+        object.__setattr__(self, "central_lifts", tuple(int(k) for k in self.central_lifts))
+
+
+def target_from_angles(generators, central: CentralAngles) -> ClassTarget:
+    """Reduce exact angle data to a class target (rotation numbers + lifts)."""
+    fractions = tuple(tuple(mod_z(f) for f in gen.fractions) for gen in generators)
+    f0 = mod_z(central.theta2_turns)
+    k2 = central.theta2_turns - f0
+    k1 = central.theta1_turns - 3 * f0
+    if k1.denominator != 1 or k2.denominator != 1:
+        raise Unliftable(f"central angles ({central.theta1_turns}, {central.theta2_turns}) are not a lift of a scalar")
+    return ClassTarget(fractions, f0, (k1.numerator, k2.numerator))
+
+
+def implied_angles(pres: SeifertPresentation, target: ClassTarget):
+    """Exact per-generator lift angles forced by the relations.
+
+    The power relation x_i^{a_i} h^{b_i} = 1 determines both covering
+    angles of x_i's lift from the central lift: theta_i = -b_i theta_0 /
+    a_i in each coordinate.
+    """
+    if len(target.fractions) != pres.n:
+        raise Unliftable(f"{pres.n} generator classes expected, got {len(target.fractions)}")
+    f0 = target.central_fraction
+    k1, k2 = target.central_lifts
+    central = CentralAngles(3 * f0 + k1, f0 + k2)
+    gens = tuple(
+        GeneratorAngles(
+            tri,
+            -Fraction(pres.b[i]) * central.theta1_turns / pres.a[i],
+            -Fraction(pres.b[i]) * central.theta2_turns / pres.a[i],
+        )
+        for i, tri in enumerate(target.fractions)
+    )
+    return gens, central
 
 
 def _rep_from_draws(pres: SeifertPresentation, base: Fraction, j: int, k: int, l: int, s) -> LiftedRepData:
@@ -395,69 +483,40 @@ class TableCase:
     expected_cs: Fraction
 
 
+# label, rotation triples of x_1, x_2, x_3 (not reduced mod 1), central
+# theta2 lift k_2, cs.  The central scalar is 1 in every row: f_0 = k_1 = 0.
+_SIGMA_2_3_11 = (
+    ("1", (("0", "1/2", "1/2"), ("0", "2/3", "1/3"), ("6/11", "3/11", "2/11")), -1, "13/66"),
+    ("2", (("0", "1/2", "1/2"), ("1/3", "0", "2/3"), ("-6/11", "-3/11", "-2/11")), 1, "13/66"),
+    ("3", (("1/2", "1/2", "0"), ("0", "2/3", "1/3"), ("-2/11", "-5/11", "-4/11")), 2, "7/66"),
+    ("4", (("1/2", "1/2", "0"), ("1/3", "0", "2/3"), ("2/11", "5/11", "4/11")), -2, "7/66"),
+    ("5", (("1/2", "1/2", "0"), ("1/3", "2/3", "0"), ("-1/11", "1/11", "0")), 0, "25/66"),
+)
+
+
+@functools.cache
 def sigma_2_3_11_fixture() -> tuple[TableCase, ...]:
     """The five irreducible classes of Sigma(2, 3, 11), with invariants.
 
-    Angle data is frozen from the constraint equations: theta2 lifts
-    satisfy a_i r_i + b_i r_0 = 0 with b = (-1, 1, 2), theta1 lifts all
-    vanish, and the expected invariants are 13/66, 13/66, 7/66, 7/66,
-    25/66.
+    Each row of ``_SIGMA_2_3_11`` gives the rotation triples and the
+    central lift; ``implied_angles`` derives every generator's covering
+    angles from them, so the theta1 lifts all vanish and the theta2 lifts
+    satisfy a_i r_i + b_i r_0 = 0 with b = (-1, 1, 2).  The expected
+    invariants are 13/66, 13/66, 7/66, 7/66, 25/66.
     """
-    F = Fraction
+    pres = presentation((2, 3, 11))
+    cases = []
+    for label, triples, k2, cs in _SIGMA_2_3_11:
+        triples = tuple(tuple(Fraction(f) for f in tri) for tri in triples)
+        target = ClassTarget(tuple(tuple(mod_z(f) for f in tri) for tri in triples), 0, (0, k2))
+        gens, central = implied_angles(pres, target)
+        generators = tuple(GeneratorAngles(tri, g.theta1_turns, g.theta2_turns) for tri, g in zip(triples, gens))
+        cases.append(TableCase(label, generators, central, Fraction(cs)))
+    return tuple(cases)
 
-    def gen(fracs, t2):
-        return GeneratorAngles(tuple(F(*f) for f in fracs), F(0), F(t2[0], t2[1]))
 
-    cases = (
-        TableCase(
-            "1",
-            (
-                gen(((0, 1), (1, 2), (1, 2)), (-1, 2)),
-                gen(((0, 1), (2, 3), (1, 3)), (1, 3)),
-                gen(((6, 11), (3, 11), (2, 11)), (2, 11)),
-            ),
-            CentralAngles(F(0), F(-1)),
-            F(13, 66),
-        ),
-        TableCase(
-            "2",
-            (
-                gen(((0, 1), (1, 2), (1, 2)), (1, 2)),
-                gen(((1, 3), (0, 1), (2, 3)), (-1, 3)),
-                gen(((-6, 11), (-3, 11), (-2, 11)), (-2, 11)),
-            ),
-            CentralAngles(F(0), F(1)),
-            F(13, 66),
-        ),
-        TableCase(
-            "3",
-            (
-                gen(((1, 2), (1, 2), (0, 1)), (1, 1)),
-                gen(((0, 1), (2, 3), (1, 3)), (-2, 3)),
-                gen(((-2, 11), (-5, 11), (-4, 11)), (-4, 11)),
-            ),
-            CentralAngles(F(0), F(2)),
-            F(7, 66),
-        ),
-        TableCase(
-            "4",
-            (
-                gen(((1, 2), (1, 2), (0, 1)), (-1, 1)),
-                gen(((1, 3), (0, 1), (2, 3)), (2, 3)),
-                gen(((2, 11), (5, 11), (4, 11)), (4, 11)),
-            ),
-            CentralAngles(F(0), F(-2)),
-            F(7, 66),
-        ),
-        TableCase(
-            "5",
-            (
-                gen(((1, 2), (1, 2), (0, 1)), (0, 1)),
-                gen(((1, 3), (2, 3), (0, 1)), (0, 1)),
-                gen(((-1, 11), (1, 11), (0, 1)), (0, 1)),
-            ),
-            CentralAngles(F(0), F(0)),
-            F(25, 66),
-        ),
+def sigma_2_3_11_targets() -> tuple[ClassTarget, ...]:
+    """Class targets of the five irreducible Sigma(2, 3, 11) classes."""
+    return tuple(
+        target_from_angles(case.generators, case.central) for case in sigma_2_3_11_fixture()
     )
-    return cases

@@ -34,16 +34,12 @@ h(x, y) = diag(e^{2 pi i (mx+ny)}, e^{-2 pi i (mx+ny)}, 1) on an
 elliptic connection: the closed form m (b1 - b2)/2 - n (a1 - a2)/2 and a
 direct boundary-torus integral of tr(g^{-1} A g ∧ g^{-1} dg) for the
 (m, n) = (1, 0) loop.
-
-CS values of closed manifolds live in R/Z; ``mod_z`` reduces exact
-Fractions exactly and floats in double precision.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Union
 
 import numpy as np
@@ -286,11 +282,3 @@ def gauge_shift_boundary_integral(nf: NormalForm, n_grid: int = 256) -> float:
     # the sum over i of the diagonal products, for any cy.
     integrand = -np.real(np.sum(ginv * np.diag(cy) * g * ginv * dg, axis=1))
     return float(np.mean(integrand)) / EIGHT_PI_SQ
-
-
-def mod_z(value):
-    """Reduce to the representative in [0, 1); exact for Fractions."""
-    if isinstance(value, Fraction):
-        return value - (value.numerator // value.denominator)
-    v = float(value) % 1.0
-    return 0.0 if v >= 1.0 else v

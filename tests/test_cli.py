@@ -285,6 +285,21 @@ def test_tolerances_must_be_finite_and_positive(capsys, command, option, value):
     assert f"argument {option}: must be a finite number > 0" in captured.err
 
 
+@pytest.mark.parametrize(
+    "option, value, low",
+    [("--budget", "0", 1), ("--budget", "-3", 1), ("--budget", "2.5", 1), ("--seed", "-1", 0), ("--seed", "x", 0)],
+)
+def test_budget_and_seed_must_be_usable_integers(capsys, option, value, low):
+    # Rejected by argparse before any input is read: a usage error, exit 2.
+    with pytest.raises(SystemExit) as exc:
+        main(["find-reps", option, value, "--json"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "usage:" in captured.err
+    assert f"argument {option}: must be an integer >= {low}" in captured.err
+
+
 def test_check_u21_rejects_inconsistent_lift(run):
     g_doc = {"matrix": encode_matrix(np.eye(3)), "theta1": 0.5, "theta2": 0.0}
     code, out = run(["check-u21", "--json"], stdin_text=json.dumps(g_doc))

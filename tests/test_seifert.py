@@ -1,11 +1,15 @@
 """Exact invariants of diagonal representations of Seifert homology spheres."""
 
+import ast
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import csu21.seifert
 from csu21 import (
     CentralAngles,
     GeneratorAngles,
@@ -18,10 +22,14 @@ from csu21 import (
     canonical_lift_data,
     cs_closed,
     cs_pipeline,
+    implied_angles,
     make_random_rep,
+    mod_z,
     presentation,
     sigma_2_3_11_fixture,
+    sigma_2_3_11_targets,
     solve_b,
+    target_from_angles,
     validate_rep,
 )
 from csu21.jsonio import (
@@ -138,6 +146,17 @@ def test_validate_rep_names_the_broken_identity():
     assert "a_ir_i+b_ir_0=0" in str(err.value)
 
 
+def test_validate_rep_details_only_failures():
+    pres = presentation((2, 3, 11))
+    good = _case5_data()
+    bad = LiftedRepData(good.p0, good.q0, good.r0, good.p, good.q, (F(1, 2), F(0), F(0)), good.s)
+    report = validate_rep(pres, bad)
+    details = {c.name: c.detail for c in report.failures()}
+    assert details == {"a_ir_i+b_ir_0=0": "i=1: 1 vs 0", "r_0=-a*sum r_i": "r_0=0 vs -a*sum r_i=-33"}
+    assert all(c.detail == "" for c in report.checks if c.ok)
+    assert all(c.detail == "" for c in validate_rep(pres, good).checks)
+
+
 def test_validate_rep_checks_lengths():
     pres = presentation((2, 3, 5, 7))
     with pytest.raises(LengthMismatch):
@@ -232,6 +251,33 @@ def test_fixture_cases_hit_expected_invariants_by_both_routes():
         assert cs_closed(pres, data) == e_cs
         assert cs_pipeline(pres, data) == e_cs
         assert burns_epstein(e_cs) == e_mu
+
+
+def test_table_targets_reduce_the_fixture_angles():
+    cases = sigma_2_3_11_fixture()
+    assert sigma_2_3_11_targets() == tuple(target_from_angles(c.generators, c.central) for c in cases)
+
+
+def test_table_lift_angles_are_the_implied_ones():
+    pres = presentation((2, 3, 11))
+    for case, target in zip(sigma_2_3_11_fixture(), sigma_2_3_11_targets()):
+        gens, central = implied_angles(pres, target)
+        assert central == case.central
+        for gen, implied in zip(case.generators, gens):
+            assert (gen.theta1_turns, gen.theta2_turns) == (implied.theta1_turns, implied.theta2_turns)
+            assert tuple(mod_z(f) for f in gen.fractions) == implied.fractions
+
+
+def test_seifert_imports_only_the_standard_library():
+    # The exact layer stays free of numpy, scipy and the package's float modules.
+    tree = ast.parse(Path(csu21.seifert.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or "").split(".")[0])
+    assert imported <= set(sys.stdlib_module_names), imported - set(sys.stdlib_module_names)
 
 
 # ---------------------------------------------------------------------------
