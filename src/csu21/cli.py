@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from . import jsonio
-from .repfinder import CONVERGED_RESIDUAL, extract_lift_data, find_representation
+from .repfinder import CONVERGED_RESIDUAL, check_snap, find_representation
 from .seifert import (
     burns_epstein,
     canonical_lift_data,
@@ -94,11 +94,14 @@ def _decode_source(doc):
 
 def cmd_cs_seifert(args):
     pres, (kind, source) = _parse(args, lambda doc: (jsonio.decode_presentation(doc), _decode_source(doc)))
-    data = canonical_lift_data(pres, *source) if kind == "angles" else source
-    report = validate_rep(pres, data)
-    if not report.ok:
-        diags = [f"constraint {c.name} failed: {c.detail}" for c in report.failures()]
-        return _fail(2, {"data": jsonio.encode_rep_data(data)}, diags)
+    if kind == "angles":
+        data = canonical_lift_data(pres, *source)  # validates its result
+    else:
+        data = source
+        report = validate_rep(pres, data)
+        if not report.ok:
+            diags = [f"constraint {c.name} failed: {c.detail}" for c in report.failures()]
+            return _fail(2, {"data": jsonio.encode_rep_data(data)}, diags)
     cs = cs_closed(pres, data, validate=False)
     pipe = cs_pipeline(pres, data, validate=False)
     mu = burns_epstein(cs)
@@ -188,8 +191,9 @@ def cmd_find_reps(args):
     pres, target = _parse(
         args, lambda doc: (jsonio.decode_presentation(doc), jsonio.decode_class_target(doc["target"]))
     )
-    # Pre-flight: the exact lift must exist before any search is worth it.
-    canonical_lift_data(pres, *implied_angles(pres, target))
+    # Pre-flight: the exact lift must exist before any search is worth it,
+    # and it is the data a converged search gives.
+    data = canonical_lift_data(pres, *implied_angles(pres, target))
     result = find_representation(pres, target, seed=args.seed, budget=args.budget)
     if not result.converged:
         return _fail(
@@ -200,7 +204,7 @@ def cmd_find_reps(args):
                 f"after budget {args.budget}"
             ],
         )
-    data = extract_lift_data(pres, result, target)
+    check_snap(result, target)
     cs = cs_closed(pres, data, validate=False)
     payload = {
         "presentation": jsonio.encode_presentation(pres),

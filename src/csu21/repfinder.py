@@ -20,23 +20,32 @@ exactly without any search; every later start conjugates the diagonals
 by exponentials of a seeded random u(2,1) point and runs one
 Levenberg-Marquardt solve of the long relation's defect from there.
 The solve works in a moving chart: its point is the stack of current
-generators, and a step h moves x_i to exp(H_i) x_i exp(-H_i), with
-H_i the u(2,1) element of h's 9 real coordinates for x_i.  At h = 0 the
-generator moves along chart direction E by [E, x_i], so the exact
-Jacobian is a batch of matrix products with no exponential, and each
-trial point costs one exponential of the stacked increments.  That
-Jacobian has rank at most 9 (the product only moves in the tangent
-space of U(2,1), and each x_i's centraliser is a null direction); as
-the Levenberg-Marquardt damping falls, its step tends to the
-minimum-norm Gauss-Newton step, so the solve converges fast onto the
-positive-dimensional solution set.
+generators, and a step h moves x_i to u_i x_i u_i^{-1} with u_i =
+cay(H_i) = (I - H_i/2)^{-1} (I + H_i/2), the Cayley transform of the
+u(2,1) element H_i of h's 9 real coordinates for x_i.  Like the
+exponential, the Cayley transform maps u(2,1) into U(2,1) exactly
+(wherever I - H_i/2 is invertible), and it agrees with exp(H_i) to
+second order, so at h = 0 the generator moves along chart direction E
+by [E, x_i] either way.  The exact Jacobian is therefore a batch of
+matrix products, and each trial point costs one batched 3x3 linear
+solve (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix
+Manifolds, 2008, section 4.1).  That Jacobian has rank at most 9 (the
+product only moves in the tangent space of U(2,1), and each x_i's
+centraliser is a null direction); as the Levenberg-Marquardt damping
+falls, its step tends to the minimum-norm Gauss-Newton step, so the
+solve converges fast onto the positive-dimensional solution set.  The
+starts stay exponential, one exponential per start: Cayley starts from
+the same seeded draws made the table searches less accurate.  Over
+seeds 0..241 at budget 64 their worst full residual was 1.6e-13,
+against 3.9e-18 with exponential starts, and a solve took 39.6
+evaluations on average, against 37.1.
 
 ``relation_residual`` scores a candidate by the full contract: squared
 Frobenius deviations of all relations plus a spectral penalty matching
 eigenphases to the target rotation numbers over all assignments.
-``extract_lift_data`` snaps a converged solution's eigenphases to the
-exact targets and assembles the rational lift data whose closed-form
-invariant can then be computed exactly.
+``check_snap`` matches a converged solution's eigenphases to the exact
+targets, and ``extract_lift_data`` then assembles the rational lift data
+whose closed-form invariant can be computed exactly.
 """
 
 from __future__ import annotations
@@ -52,12 +61,13 @@ from .seifert import ClassTarget, LiftedRepData, SeifertPresentation, canonical_
 from .ug21 import J, algebra_element, lie_exp
 
 # A full residual (``relation_residual``) at most this counts as a
-# solution.  Searches of all 1386 liftable Sigma(2, 3, 11) targets split
-# into true solutions, at 9.0e-26 and below (2.6e-18 over the five table
-# classes at seeds 0..241), and near-misses, whose starts all stall at a
-# positive minimum of the long relation's defect, at 1.7e-9 and above
-# (seed 1, budgets 3 and 64).  1e-12 lies inside that gap and above the
-# search's own stop (squared defect <= 1e-16).
+# solution.  Searches of all 1386 liftable Sigma(2, 3, 11) targets (seed
+# 1, budget 3) split into 29 true solutions, at 2.0e-25 and below (3.9e-18
+# over the five table classes at seeds 0..241, budget 64), and
+# near-misses, whose starts all stall at a positive minimum of the long
+# relation's defect, at 1.8e-9 and above (1.6e-9 and above when the 205
+# below 1e-7 are searched again at budget 64).  1e-12 lies inside that
+# gap and above the search's own stop (squared defect <= 1e-16).
 CONVERGED_RESIDUAL = 1e-12
 SNAP_TOL = 1e-4
 
@@ -127,25 +137,43 @@ def relation_residual(pres: SeifertPresentation, matrices, target: ClassTarget) 
     return total
 
 
-_BASIS = np.array([algebra_element(e) for e in np.eye(9)])  # chart directions E_0 .. E_8
+_EYE = np.eye(3)
+# Chart directions E_0 .. E_8, one per row, each flattened row-major.
+_BASIS = np.array([algebra_element(e) for e in np.eye(9)]).reshape(9, 9)
 _FORM_SIGNS = np.outer(J.diagonal(), J.diagonal()).real  # J A J = A * _FORM_SIGNS
 
 
-def _conjugate(ms: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """x_1 and exp(H_i) x_i exp(-H_i) for i >= 2, H_i = algebra_element(h_i).
+def _increments(h: np.ndarray) -> np.ndarray:
+    """The (n - 1, 3, 3) stack of u(2,1) elements H_i = algebra_element(h_i)."""
+    return (h.reshape(-1, 9) @ _BASIS).reshape(-1, 3, 3)
 
-    ``ms`` is the (n, 3, 3) stack of generators and ``h`` holds 9 chart
-    coordinates per generator beyond the first: one exponential of the
-    (n - 1, 3, 3) stack of increments moves them all.
-    """
-    u = lie_exp((h.reshape(-1, 9) @ _BASIS.reshape(9, 9)).reshape(-1, 3, 3))
+
+def _conjugate_by(ms: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """x_1 and u_i x_i u_i^{-1} for i >= 2, for a stack u of U(2,1) elements."""
     uinv = u.conj().transpose(0, 2, 1) * _FORM_SIGNS  # J U^H J, the U(2,1) inverse
     return np.concatenate([ms[:1], u @ ms[1:] @ uinv])
 
 
+def _conjugate(ms: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """x_1 and cay(H_i) x_i cay(H_i)^{-1} for i >= 2, H_i = algebra_element(h_i).
+
+    ``ms`` is the (n, 3, 3) stack of generators and ``h`` holds 9 chart
+    coordinates per generator beyond the first: one batched solve of
+    (I - H_i/2) u_i = I + H_i/2 gives the Cayley factors of all of them.
+    If some I - H_i/2 is singular (H_i has eigenvalue 2) the result is
+    all NaN, a trial point that Levenberg-Marquardt rejects.
+    """
+    half = _increments(h) / 2
+    try:
+        u = np.linalg.solve(_EYE - half, _EYE + half)
+    except np.linalg.LinAlgError:
+        return np.full_like(ms, np.nan)
+    return _conjugate_by(ms, u)
+
+
 def _defect(ms: np.ndarray) -> np.ndarray:
     """The real and imaginary parts of x_1 ... x_n - I."""
-    d = functools.reduce(np.matmul, ms) - np.eye(3)
+    d = functools.reduce(np.matmul, ms) - _EYE
     return np.concatenate([d.real.ravel(), d.imag.ravel()])
 
 
@@ -158,15 +186,17 @@ def _defect_jacobian(ms: np.ndarray) -> np.ndarray:
     x_j and T_j = x_{j+1} ... x_n that is Q_{i-1} E_k T_{i-1} - Q_i E_k T_i,
     and Q E T is linear in E: row-major, vec(Q E T) = (Q kron T^T) vec(E).
     """
-    q = [ms[0]]
-    for m in ms[1:]:
-        q.append(q[-1] @ m)
-    t = [np.eye(3)]
-    for m in ms[:0:-1]:
-        t.append(m @ t[-1])
-    q, tt = np.array(q), np.array(t[::-1]).transpose(0, 2, 1)
+    n = len(ms)
+    q = np.empty_like(ms)  # q[j] = Q_{j+1}
+    q[0] = ms[0]
+    t = np.empty_like(ms)  # t[j] = T_{j+1}
+    t[-1] = _EYE
+    for j in range(1, n):
+        q[j] = q[j - 1] @ ms[j]
+        t[n - 1 - j] = ms[n - j] @ t[n - j]
+    tt = t.transpose(0, 2, 1)
     kron = (q[:, :, None, :, None] * tt[:, None, :, None, :]).reshape(-1, 9, 9)
-    dp = (kron[:-1] - kron[1:]) @ _BASIS.reshape(9, 9).T  # (n - 1, 9 entries, 9 directions)
+    dp = (kron[:-1] - kron[1:]) @ _BASIS.T  # (n - 1, 9 entries, 9 directions)
     return np.concatenate([dp.real, dp.imag], axis=1).transpose(1, 0, 2).reshape(18, -1)
 
 
@@ -187,9 +217,10 @@ def _levenberg_marquardt(fun, jac, x, max_nfev: int, step=np.add):
     jx = jac(x)
     a, g = jx.T @ jx, jx.T @ r
     mu, nu = 1e-3 * a.diagonal().max(), 2.0
+    eye = np.eye(len(g))
     while nfev < max_nfev and np.abs(g).max() > 1e-15:
         try:
-            h = np.linalg.solve(a + mu * np.eye(len(g)), -g)
+            h = np.linalg.solve(a + mu * eye, -g)
         except np.linalg.LinAlgError:  # mu fell below the rounding of a rank-deficient J^T J
             mu *= nu
             nu *= 2.0
@@ -249,16 +280,27 @@ def find_representation(
 
     residual_vector(diags)
     rng = np.random.default_rng(seed)
-    # A large trial step can overflow inside the exponential; its residual
-    # is then not finite and the step is rejected.
+    # A large trial step can overflow in the products of the moved
+    # generators; its residual is then not finite and the step is rejected.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(1, budget):
             if best_val <= 1e-16:
                 break
-            start = _conjugate(diags, rng.normal(size=dim) * 0.8)
+            start = _conjugate_by(diags, lie_exp(_increments(rng.normal(size=dim) * 0.8)))
             _levenberg_marquardt(residual_vector, jacobian, start, max_nfev=400, step=_conjugate)
     residual = relation_residual(pres, best_ms, target)
     return SearchResult(tuple(best_ms), residual, seed, evals)
+
+
+def check_snap(result: SearchResult, target: ClassTarget) -> None:
+    """Raise ``SnapFailure`` unless each matrix's eigenphases sit within
+    SNAP_TOL of the target rotation numbers (best assignment)."""
+    for i, (m, tri) in enumerate(zip(result.matrices, target.fractions)):
+        penalty = _spectral_penalty(m, tri)
+        if penalty > 3 * SNAP_TOL**2:
+            raise SnapFailure(
+                f"generator {i + 1}: eigenphase mismatch {math.sqrt(penalty):.3e} exceeds snap tolerance"
+            )
 
 
 def extract_lift_data(
@@ -268,18 +310,12 @@ def extract_lift_data(
 ) -> LiftedRepData:
     """Snap a converged solution to exact class data and lift it.
 
-    Verifies each matrix's eigenphases sit within SNAP_TOL of the target
-    rotation numbers (best assignment), then assembles the exact lift
-    data implied by the relations.  Raises ``SnapFailure`` if the phase
-    match fails, ``Unliftable`` if the target admits no lift.
+    Verifies the eigenphases with ``check_snap``, then assembles the
+    exact lift data implied by the relations.  Raises ``SnapFailure`` if
+    the phase match fails, ``Unliftable`` if the target admits no lift.
     """
     if result.residual > CONVERGED_RESIDUAL:
         raise ValueError(f"cannot extract from residual {result.residual:.3e} > {CONVERGED_RESIDUAL}")
-    for i, (m, tri) in enumerate(zip(result.matrices, target.fractions)):
-        penalty = _spectral_penalty(m, tri)
-        if penalty > 3 * SNAP_TOL**2:
-            raise SnapFailure(
-                f"generator {i + 1}: eigenphase mismatch {math.sqrt(penalty):.3e} exceeds snap tolerance"
-            )
+    check_snap(result, target)
     gens, central = implied_angles(pres, target)
     return canonical_lift_data(pres, gens, central)

@@ -35,8 +35,9 @@ variation formulas through a path of cone connections:
 
 with cs = cs(A_0) - cs(B_0) mod Z.  Both routes are implemented on
 ``fractions.Fraction`` throughout, and their exact agreement is a
-standing cross-check.  The data and angle types reject floats; ``mod_z``
-alone also accepts them, and reduces them in double precision.
+standing cross-check.  The data, angle and target types reject
+floats; ``mod_z`` alone also accepts them, and reduces them in double
+precision.
 
 Angle data comes in two forms.  ``GeneratorAngles`` and
 ``CentralAngles`` give the covering angles of a lift in turns: theta1
@@ -390,7 +391,7 @@ def canonical_lift_data(
 
 
 def _unit_fraction(v) -> Fraction:
-    f = Fraction(v)
+    f = _frac(v)
     if not 0 <= f < 1:
         raise ValueError(f"rotation numbers must lie in [0, 1), got {f}")
     return f

@@ -33,6 +33,7 @@ state is mutated, so everything here is safe to call concurrently.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -344,26 +345,31 @@ def _intersect(basis: np.ndarray, space: np.ndarray, sine_tol: float) -> np.ndar
     return basis @ vh[len(sv) - k:].conj().T
 
 
-def _common_eigenline(ms: list[np.ndarray], basis: np.ndarray, tol: float, sine_tol: float) -> bool:
-    if basis.shape[1] == 0:
-        return False
-    if not ms:
-        return True
-    for space in _eigenspaces(ms[0], tol):
-        sub = _intersect(basis, space, sine_tol)
-        if sub is not None and _common_eigenline(ms[1:], sub, tol, sine_tol):
-            return True
-    return False
-
-
 def is_reducible(ms, tol_classify: float = TOL_CLASSIFY) -> bool:
     """True iff the matrices share a common eigenvector (common fixed line).
 
     Searches the tree of eigenspace choices, intersecting subspaces as it
     goes; tolerances are in terms of principal-angle sines at scale
-    sqrt(tol_classify).
+    sqrt(tol_classify).  Each matrix's eigenspaces are computed at most
+    once, when the search first reaches it.
     """
     ms = [np.asarray(m, dtype=complex) for m in ms]
     if not ms:
         raise ValueError("need at least one matrix")
-    return _common_eigenline(ms, np.eye(3, dtype=complex), tol_classify, math.sqrt(tol_classify))
+    sine_tol = math.sqrt(tol_classify)
+
+    @functools.cache
+    def spaces(i: int) -> list[np.ndarray]:
+        return _eigenspaces(ms[i], tol_classify)
+
+    def common_line(i: int, basis: np.ndarray) -> bool:
+        """Whether span(basis) holds a common eigenvector of ms[i:]."""
+        if i == len(ms):
+            return True
+        for space in spaces(i):
+            sub = _intersect(basis, space, sine_tol)
+            if sub is not None and common_line(i + 1, sub):
+                return True
+        return False
+
+    return common_line(0, np.eye(3, dtype=complex))

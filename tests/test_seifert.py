@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import csu21.seifert
 from csu21 import (
     CentralAngles,
+    ClassTarget,
     GeneratorAngles,
     InvalidRepData,
     LengthMismatch,
@@ -170,6 +171,15 @@ def test_rep_data_refuses_floats():
         GeneratorAngles((0.5, F(0), F(0)), F(0), F(0))
     with pytest.raises(TypeError):
         CentralAngles(0.0, F(0))
+
+
+def test_class_target_refuses_floats():
+    # Fraction(0.1) would hold 3602879701896397/36028797018963968.
+    with pytest.raises(TypeError):
+        ClassTarget(((0.1, F(0), F(0)),), F(0), (0, 0))
+    with pytest.raises(TypeError):
+        ClassTarget(((F(0), F(0), F(0)),), 0.5, (0, 0))
+    assert ClassTarget(((F(1, 10), 0, F(0)),), 0, (0, 0)).fractions == ((F(1, 10), F(0), F(0)),)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import csu21.ug21
 from conftest import random_g_element
 from csu21 import (
     CorrectionBranchError,
@@ -285,6 +286,24 @@ def test_is_reducible_false_for_generic_pair(rng):
     uinv = J @ u.conj().T @ J
     m2 = u @ diag(np.exp(1.1j), np.exp(-0.3j), np.exp(0.6j)) @ uinv
     assert not is_reducible([m1, m2])
+
+
+def test_is_reducible_computes_each_eigenspace_once(monkeypatch, rng):
+    # The search tries every eigenspace of the first matrix before it
+    # answers False, and reaches the second matrix from each of them.
+    calls = []
+
+    def counting(m, tol):
+        calls.append(m.tobytes())
+        return eigenspaces(m, tol)
+
+    eigenspaces = csu21.ug21._eigenspaces
+    monkeypatch.setattr(csu21.ug21, "_eigenspaces", counting)
+    m1 = diag(np.exp(0.4j), np.exp(-0.9j), np.exp(0.1j))
+    u = lie_exp(random_algebra_element(rng, 0.8))
+    m2 = u @ diag(np.exp(1.1j), np.exp(-0.3j), np.exp(0.6j)) @ J @ u.conj().T @ J
+    assert not is_reducible([m1, m2])
+    assert sorted(calls) == sorted([m1.tobytes(), m2.tobytes()])
 
 
 def test_is_reducible_needs_input():
