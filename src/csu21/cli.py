@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from . import jsonio
-from .repfinder import CONVERGED_RESIDUAL, check_snap, find_representation
+from .repfinder import CONVERGED_RESIDUAL, find_representation
 from .seifert import (
     burns_epstein,
     canonical_lift_data,
@@ -204,7 +204,7 @@ def cmd_find_reps(args):
                 f"after budget {args.budget}"
             ],
         )
-    check_snap(result, target)
+    # No check_snap: each spectral penalty <= residual <= CONVERGED_RESIDUAL < 3 SNAP_TOL^2.
     cs = cs_closed(pres, data, validate=False)
     payload = {
         "presentation": jsonio.encode_presentation(pres),

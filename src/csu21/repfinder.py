@@ -37,8 +37,8 @@ solve converges fast onto the positive-dimensional solution set.  The
 starts stay exponential, one exponential per start: Cayley starts from
 the same seeded draws made the table searches less accurate.  Over
 seeds 0..241 at budget 64 their worst full residual was 1.6e-13,
-against 3.9e-18 with exponential starts, and a solve took 39.6
-evaluations on average, against 37.1.
+against 1.2e-18 with exponential starts, and a solve took 39.6
+evaluations on average, against 37.3.
 
 ``relation_residual`` scores a candidate by the full contract: squared
 Frobenius deviations of all relations plus a spectral penalty matching
@@ -62,14 +62,17 @@ from .ug21 import J, algebra_element, lie_exp
 
 # A full residual (``relation_residual``) at most this counts as a
 # solution.  Searches of all 1386 liftable Sigma(2, 3, 11) targets (seed
-# 1, budget 3) split into 29 true solutions, at 2.0e-25 and below (3.9e-18
+# 1, budget 3) split into 29 true solutions, at 3.7e-25 and below (1.2e-18
 # over the five table classes at seeds 0..241, budget 64), and
 # near-misses, whose starts all stall at a positive minimum of the long
-# relation's defect, at 1.8e-9 and above (1.6e-9 and above when the 205
-# below 1e-7 are searched again at budget 64).  1e-12 lies inside that
+# relation's defect, at 1.5e-9 and above (also when the 204 below 1e-7
+# are searched again at budget 64).  1e-12 lies inside that
 # gap and above the search's own stop (squared defect <= 1e-16).
 CONVERGED_RESIDUAL = 1e-12
 SNAP_TOL = 1e-4
+# ``relation_residual`` adds up each generator's spectral penalty, so a
+# converged result passes ``check_snap`` against its own search target.
+assert CONVERGED_RESIDUAL < 3 * SNAP_TOL**2
 
 
 class SnapFailure(ValueError):

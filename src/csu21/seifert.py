@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -397,6 +398,12 @@ def _unit_fraction(v) -> Fraction:
     return f
 
 
+def _lift(k) -> int:
+    if not isinstance(k, numbers.Integral):
+        raise TypeError(f"central lifts must be integers, got {k!r}")
+    return int(k)
+
+
 @dataclass(frozen=True)
 class ClassTarget:
     """Target conjugacy classes: rotation numbers per generator plus the
@@ -411,7 +418,7 @@ class ClassTarget:
             self, "fractions", tuple(tuple(_unit_fraction(f) for f in tri) for tri in self.fractions)
         )
         object.__setattr__(self, "central_fraction", _unit_fraction(self.central_fraction))
-        object.__setattr__(self, "central_lifts", tuple(int(k) for k in self.central_lifts))
+        object.__setattr__(self, "central_lifts", tuple(_lift(k) for k in self.central_lifts))
 
 
 def target_from_angles(generators, central: CentralAngles) -> ClassTarget:

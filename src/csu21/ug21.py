@@ -21,10 +21,11 @@ Re(1 + z) <= 0 the inputs cannot both satisfy the form condition and
 ``CorrectionBranchError`` is raised.
 
 The module also provides the Lie algebra u(2,1) (matrices x with
-x^H J + J x = 0), seeded random sampling via the exponential map, a
-three-way elliptic/parabolic/loxodromic classification of isometries of
-the complex hyperbolic plane, and a joint-eigenvector reducibility test
-for tuples of matrices.
+x^H J + J x = 0) with its exponential map ``lie_exp`` (Pade-13 scaling and
+squaring in numpy, batched over stacks), seeded random sampling through
+it, a three-way elliptic/parabolic/loxodromic classification of
+isometries of the complex hyperbolic plane, and a joint-eigenvector
+reducibility test for tuples of matrices.
 
 All functions are pure: GElement is treated as immutable and no global
 state is mutated, so everything here is safe to call concurrently.
@@ -38,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 # Default tolerances: group-membership residuals, angle congruences, and
 # spectral classification decisions.
@@ -174,9 +174,43 @@ def lift_to_g(m: np.ndarray, k1: int = 0, k2: int = 0) -> GElement:
     return GElement(m, t1, t2)
 
 
+# Degree-13 Pade coefficients of exp, divided by b_0 so that the constant
+# term is exactly 1 (then lie_exp(0) is exactly I), and the largest
+# 1-norm at which that approximant alone is accurate to double precision
+# (Higham, The scaling and squaring method for the matrix exponential
+# revisited, SIAM J. Matrix Anal. Appl. 26, 2005, Table 2.3).
+_PADE13 = np.array([
+    64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800,
+    129060195264000, 10559470521600, 670442572800, 33522128640,
+    1323241920, 40840800, 960960, 16380, 182, 1,
+]) / 64764752532480000
+_THETA13 = 5.371920351148152
+
+
 def lie_exp(x: np.ndarray) -> np.ndarray:
-    """Matrix exponential u(2,1) -> U(2,1)."""
-    return scipy.linalg.expm(np.asarray(x, dtype=complex))
+    """Matrix exponential u(2,1) -> U(2,1), of one matrix or a stack (..., 3, 3).
+
+    Pade-13 scaling and squaring (Higham 2005): each matrix is scaled by
+    2^-s into 1-norm THETA13, its [13/13] Pade approximant r = (V - U)^-1
+    (V + U) is formed, and r is squared s times.
+    """
+    a = np.asarray(x, dtype=complex)
+    # frexp writes norm / THETA13 as f 2^s with f in [0.5, 1), so 2^-s
+    # scales the 1-norm to at most THETA13.
+    _, s = np.frexp(np.abs(a).sum(axis=-2).max(axis=-1) / _THETA13)
+    s = np.maximum(s, 0)
+    a = a * np.ldexp(1.0, -s)[..., None, None]
+    b = _PADE13
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(int(s.max(initial=0))):
+        r = np.where((s > k)[..., None, None], r @ r, r)
+    return r
 
 
 def algebra_element(c) -> np.ndarray:

@@ -18,8 +18,9 @@ trace per family gives closed Wronskian formulas:
     parabolic c2 : int (th1 ta1' - th1' ta1) + 1/2 int (th2 ta2' - th2' ta2) dt
 
 ``cs_delta_closed`` evaluates these formulas, ``cs_delta_quadrature``
-integrates the trace density by composite Simpson; agreement of the two
-routes is the module's main cross-check.
+integrates the trace density by composite Simpson's rule in numpy (an
+even point count closes with Cartwright's last-interval rule); agreement
+of the two routes is the module's main cross-check.
 
 Parameters move along paths of two kinds: polynomial in t (ascending
 coefficients; a linear path between endpoints is the degree-1 case), or
@@ -43,7 +44,6 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .normal_forms import (
     ELLIPTIC,
@@ -190,6 +190,24 @@ WRONSKIAN_TERMS = {
 }
 
 
+def _simpson(y: np.ndarray) -> float:
+    """int_0^1 of samples y on the grid linspace(0, 1, len(y)), len(y) >= 3.
+
+    Composite Simpson's rule.  An even point count leaves one interval
+    over, closed by Cartwright's last-interval rule h/12 (5 y[-1] + 8 y[-2]
+    - y[-3]), which is what scipy.integrate.simpson (>= 1.11) does.
+    """
+    n = len(y)
+    if n < 3:
+        raise ValueError(f"Simpson's rule needs >= 3 points, got {n}")
+    h = 1.0 / (n - 1)
+    m = n if n % 2 else n - 1  # points covered by the standard rule
+    total = h / 3 * (y[0] + 4 * y[1 : m - 1 : 2].sum() + 2 * y[2 : m - 1 : 2].sum() + y[m - 1])
+    if m < n:
+        total += h / 12 * (5 * y[-1] + 8 * y[-2] - y[-3])
+    return float(total)
+
+
 def _wronskian_integral_exact(f: PolyParam, g: PolyParam) -> float:
     """int_0^1 (f g' - f' g) dt for polynomial curves, exactly.
 
@@ -218,7 +236,7 @@ def cs_delta_closed(path: ConnectionPath) -> float:
         fv, gv = path.values_on(grid, f), path.values_on(grid, g)
         fd, gd = path.derivs_on(grid, f), path.derivs_on(grid, g)
         dens += w * (fv * gd - fd * gv)
-    return float(simpson(dens, x=grid))
+    return _simpson(dens)
 
 
 def cs_integrand(path: ConnectionPath, t: np.ndarray) -> np.ndarray:
@@ -249,7 +267,7 @@ def cs_delta_quadrature(path: ConnectionPath, n: int = 256) -> float:
         raise ValueError(f"panel count must be even and >= 2, got {n}")
     grid = path.sample_grid()
     t = np.linspace(0.0, 1.0, n + 1) if grid is None else grid
-    return float(simpson(cs_integrand(path, t), x=t))
+    return _simpson(cs_integrand(path, t))
 
 
 def gauge_shift_closed(m: int, n: int, alpha, beta) -> float:

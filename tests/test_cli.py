@@ -5,14 +5,18 @@ import copy
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import csu21.repfinder
 from csu21 import sigma_2_3_11_fixture
 from csu21.cli import main
 from csu21.jsonio import encode_angles, encode_matrix
@@ -476,6 +480,23 @@ def test_find_reps_solves_case_five(run):
     assert payload["search"]["residual"] <= 1e-8
 
 
+def test_find_reps_matches_eigenphases_once_per_generator(run, monkeypatch):
+    # The search scores the eigenphase match into its residual, and a
+    # converged residual already bounds it: one match per generator and job.
+    calls = []
+    penalty = csu21.repfinder._spectral_penalty
+
+    def counting(m, tri):
+        calls.append(tri)
+        return penalty(m, tri)
+
+    monkeypatch.setattr("csu21.repfinder._spectral_penalty", counting)
+    doc = {"a": [2, 3, 11], "target": CASE5_TARGET}
+    code, _ = run(["find-reps", "--seed", "1", "--budget", "16", "--json"], stdin_text=json.dumps(doc))
+    assert code == 0
+    assert len(calls) == 3
+
+
 def test_find_reps_rejects_unliftable_target(run):
     doc = {
         "a": [2, 3, 11],
@@ -656,3 +677,12 @@ def test_mutated_documents_keep_the_cli_contract(command, data):
     assert env["status"] == ("ok" if code == 0 else "fail")
     if code == 0:
         _assert_finite(env["payload"])
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; a one-shot command pays for
+    # every module it imports.
+    code = "import sys, csu21, csu21.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(Path(csu21.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"

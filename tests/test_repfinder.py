@@ -412,6 +412,17 @@ def test_extract_detects_eigenphase_mismatch():
         extract_lift_data(pres, fake, target)
 
 
+def test_extract_checks_a_search_against_the_target_it_is_given():
+    # A solution for case five snaps to no other table class.
+    pres = presentation((2, 3, 11))
+    targets = sigma_2_3_11_targets()
+    result = find_representation(pres, targets[4], seed=1, budget=16)
+    assert result.converged
+    for other in targets[:4]:
+        with pytest.raises(SnapFailure):
+            extract_lift_data(pres, result, other)
+
+
 def test_extract_flags_unliftable_targets():
     pres = presentation((2, 3, 11))
     # a_1 = 2 cannot power a primitive third root of unity to the identity

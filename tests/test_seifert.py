@@ -182,6 +182,14 @@ def test_class_target_refuses_floats():
     assert ClassTarget(((F(1, 10), 0, F(0)),), 0, (0, 0)).fractions == ((F(1, 10), F(0), F(0)),)
 
 
+def test_class_target_refuses_non_integer_lifts():
+    # int() would truncate (0.7, -1.9) to the sheet (0, -1).
+    tri = (F(0), F(0), F(0))
+    for lifts in ((0.7, -1.9), (1.0, 0), (0, F(1, 2))):
+        with pytest.raises(TypeError):
+            ClassTarget((tri,), F(0), lifts)
+
+
 # ---------------------------------------------------------------------------
 # frozen invariant values
 

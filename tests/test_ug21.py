@@ -228,6 +228,56 @@ def test_lie_exp_lands_in_group(rng):
         assert check_u21(lie_exp(x)) <= 1e-12
 
 
+def test_lie_exp_of_a_stack_is_the_stack_of_exponentials(rng):
+    # Each matrix of a stack is scaled and squared by its own norm.
+    xs = np.array([random_algebra_element(rng, scale) for scale in (0.01, 0.3, 1.0, 4.0)])
+    stacked = lie_exp(xs)
+    assert stacked.shape == xs.shape
+    for x, e in zip(xs, stacked):
+        assert np.array_equal(e, lie_exp(x))
+
+
+@pytest.mark.parametrize("scale", [0.1, 0.3, 0.6, 1.0])
+def test_lie_exp_inverts_and_stays_in_group(rng, scale):
+    # Forming e @ e^-1 (or J e^H J e) rounds at about eps |e|^2, since the
+    # U(2,1) inverse J e^H J is as large as e; at scale 1, entries of e
+    # reach about 70, where that is above 1e-12.
+    for _ in range(200):
+        x = random_algebra_element(rng, scale)
+        e = lie_exp(x)
+        tol = 16 * np.finfo(float).eps * max(1.0, np.max(np.abs(e))) ** 2
+        assert np.max(np.abs(e @ lie_exp(-x) - np.eye(3))) <= tol
+        assert check_u21(e) <= tol
+
+
+def test_lie_exp_agrees_with_taylor_series(rng):
+    for _ in range(200):
+        x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        x *= rng.uniform(0.01, 0.5) / np.linalg.norm(x, 2)
+        term, series = np.eye(3, dtype=complex), np.eye(3, dtype=complex)
+        for k in range(1, 30):
+            term = term @ x / k
+            series += term
+        assert np.max(np.abs(lie_exp(x) - series)) <= 1e-15
+
+
+@pytest.mark.parametrize("t", [3.0, 10.0, 40.0])
+def test_lie_exp_matches_closed_forms_beyond_the_pade_range(t):
+    # Norms past 5.37 need scaling and squaring: a boost, a rotation and
+    # a diagonal phase, each with a closed-form exponential.
+    ch, sh, co, si = math.cosh(t), math.sinh(t), math.cos(t), math.sin(t)
+    boost = np.array([[ch, 0, sh], [0, 1, 0], [sh, 0, ch]])
+    rotation = np.array([[co, si, 0], [-si, co, 0], [0, 0, 1]])
+    phases = np.array([t, -2 * t, 0.5 * t])
+    for coords, exact in (
+        ([0, 0, 0, 0, 0, t, 0, 0, 0], boost),
+        ([0, 0, 0, t, 0, 0, 0, 0, 0], rotation),
+        ([*phases, 0, 0, 0, 0, 0, 0], np.diag(np.exp(1j * phases))),
+    ):
+        e = lie_exp(algebra_element(np.array(coords, dtype=float)))
+        assert np.max(np.abs(e - exact)) <= 1e-14 * np.max(np.abs(exact))
+
+
 def test_random_u21_deterministic_and_scaled():
     assert np.array_equal(random_u21(5, 0.8), random_u21(5, 0.8))
     assert not np.array_equal(random_u21(5, 0.8), random_u21(6, 0.8))

@@ -22,8 +22,32 @@ from csu21 import (
     mod_z,
 )
 from csu21.normal_forms import FAMILIES, FAMILY_PARAMS, connection_coeffs
+from csu21.variation import _simpson
 
 from conftest import random_normal_form
+
+
+# ---------------------------------------------------------------------------
+# Simpson's rule
+
+
+def test_simpson_is_exact_for_cubics_on_odd_point_counts():
+    exact = 0.3 - 1.7 / 2 + 2.2 / 3 + 5.0 / 4
+    for n in (3, 5, 17, 257):
+        t = np.linspace(0.0, 1.0, n)
+        assert abs(_simpson(0.3 - 1.7 * t + 2.2 * t**2 + 5.0 * t**3) - exact) <= 1e-14
+
+
+def test_simpson_even_point_counts_are_exact_for_quadratics():
+    exact = 0.4 + 1.1 / 2 - 3.3 / 3
+    for n in (4, 6, 34, 256):
+        t = np.linspace(0.0, 1.0, n)
+        assert abs(_simpson(0.4 + 1.1 * t - 3.3 * t**2) - exact) <= 1e-14
+
+
+def test_simpson_needs_three_points():
+    with pytest.raises(ValueError):
+        _simpson(np.ones(2))
 
 
 # ---------------------------------------------------------------------------
