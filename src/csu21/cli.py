@@ -23,8 +23,9 @@ Exit codes:
        call (coprime moduli, family parameters, rotation-number range,
        sample count)
     2  validation failure: any check after decoding; also argparse's
-       usage error for a bad option, such as a tolerance that is not a
-       finite number > 0, a budget below 1 or a negative seed
+       usage error for a bad option, such as an option the command does
+       not take, a tolerance that is not a finite number > 0, a budget
+       below 1 or a negative seed
     3  the search did not converge
 
 Commands read their document through ``_parse``, the only place that
@@ -76,8 +77,8 @@ def _parse(args, decode):
         raise MalformedInput(f"malformed input: {exc}") from exc
 
 
-def _ok(payload, diagnostics=()):
-    return 0, "ok", payload, list(diagnostics)
+def _ok(payload):
+    return 0, "ok", payload, []
 
 
 def _fail(code, payload, diagnostics):
@@ -129,25 +130,19 @@ def cmd_verify_table(args):
     for case in cases:
         data = canonical_lift_data(pres, case.generators, case.central)
         pipe = cs_pipeline(pres, data, validate=False)
-        row = {
+        closed = cs_closed(pres, data, validate=False)
+        rows.append({
             "case": case.label,
             "expected": jsonio.encode_fraction(case.expected_cs),
             "pipeline": jsonio.encode_fraction(pipe),
-        }
-        match = pipe == case.expected_cs
-        value = pipe
-        if not args.pipeline_only:
-            closed = cs_closed(pres, data, validate=False)
-            row["closed"] = jsonio.encode_fraction(closed)
-            match = match and closed == case.expected_cs
-            value = closed
-        row["burns_epstein"] = jsonio.encode_fraction(burns_epstein(value))
-        row["match"] = match
-        rows.append(row)
-    all_match = all(r["match"] for r in rows) and len(rows) > 0
+            "closed": jsonio.encode_fraction(closed),
+            "burns_epstein": jsonio.encode_fraction(burns_epstein(closed)),
+            "match": pipe == closed == case.expected_cs,
+        })
+    all_match = all(r["match"] for r in rows)
     payload = {"presentation": jsonio.encode_presentation(pres), "cases": rows, "all_match": all_match}
     if not all_match:
-        bad = [r["case"] for r in rows if not r["match"]] or ["<none selected>"]
+        bad = [r["case"] for r in rows if not r["match"]]
         return _fail(2, payload, [f"table mismatch in case(s): {', '.join(bad)}"])
     return _ok(payload)
 
@@ -204,7 +199,6 @@ def cmd_find_reps(args):
                 f"after budget {args.budget}"
             ],
         )
-    # No check_snap: each spectral penalty <= residual <= CONVERGED_RESIDUAL < 3 SNAP_TOL^2.
     cs = cs_closed(pres, data, validate=False)
     payload = {
         "presentation": jsonio.encode_presentation(pres),
@@ -251,8 +245,7 @@ def _render_table(payload) -> str:
     lines = ["Sigma(2, 3, 11) invariant table"]
     lines.append("case".ljust(14) + "".join(lab.rjust(width) for lab in labels))
     lines.append("expected".ljust(14) + "".join(r["expected"].rjust(width) for r in rows))
-    if "closed" in rows[0]:
-        lines.append("closed".ljust(14) + "".join(r["closed"].rjust(width) for r in rows))
+    lines.append("closed".ljust(14) + "".join(r["closed"].rjust(width) for r in rows))
     lines.append("pipeline".ljust(14) + "".join(r["pipeline"].rjust(width) for r in rows))
     lines.append("burns-epstein".ljust(14) + "".join(r["burns_epstein"].rjust(width) for r in rows))
     good = sum(1 for r in rows if r["match"])
@@ -309,12 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a structured JSON envelope")
-    common.add_argument("--tol-group", type=_tolerance, default=TOL_GROUP, help="membership residual tolerance")
-    common.add_argument("--tol-angle", type=_tolerance, default=TOL_ANGLE, help="angle congruence tolerance")
+    group_tol = argparse.ArgumentParser(add_help=False)
+    group_tol.add_argument("--tol-group", type=_tolerance, default=TOL_GROUP, help="membership residual tolerance")
+    both_tols = argparse.ArgumentParser(add_help=False, parents=[group_tol])
+    both_tols.add_argument("--tol-angle", type=_tolerance, default=TOL_ANGLE, help="angle congruence tolerance")
     sub = parser.add_subparsers(dest="command")
 
-    def add(name, func, help_, with_input=True):
-        p = sub.add_parser(name, help=help_, parents=[common])
+    def add(name, func, help_, with_input=True, tols=()):
+        p = sub.add_parser(name, help=help_, parents=[common, *tols])
         p.set_defaults(func=func)
         if with_input:
             p.add_argument("input", nargs="?", default="-", help="input JSON file, or - for stdin")
@@ -323,14 +318,13 @@ def build_parser() -> argparse.ArgumentParser:
     add("cs-seifert", cmd_cs_seifert, "exact invariant of Seifert representation data")
     p = add("verify-table", cmd_verify_table, "recompute the Sigma(2,3,11) table", with_input=False)
     p.add_argument("--case", type=int, choices=range(1, 6), help="restrict to one table case")
-    p.add_argument("--pipeline-only", action="store_true", help="skip the closed-formula route")
-    add("classify", cmd_classify, "isometry type of a U(2,1) matrix")
+    add("classify", cmd_classify, "isometry type of a U(2,1) matrix", tols=[group_tol])
     add("variation", cmd_variation, "CS change along a connection path")
     p = add("find-reps", cmd_find_reps, "search for representations in prescribed classes")
     p.add_argument("--seed", type=_int_at_least(0), default=0, help="search RNG seed")
     p.add_argument("--budget", type=_int_at_least(1), default=64, help="number of search starts")
-    add("mul", cmd_mul, "multiply two universal-cover elements")
-    add("check-u21", cmd_check_u21, "validate a matrix or cover element")
+    add("mul", cmd_mul, "multiply two universal-cover elements", tols=[both_tols])
+    add("check-u21", cmd_check_u21, "validate a matrix or cover element", tols=[both_tols])
     return parser
 
 

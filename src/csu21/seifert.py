@@ -35,9 +35,8 @@ variation formulas through a path of cone connections:
 
 with cs = cs(A_0) - cs(B_0) mod Z.  Both routes are implemented on
 ``fractions.Fraction`` throughout, and their exact agreement is a
-standing cross-check.  The data, angle and target types reject
-floats; ``mod_z`` alone also accepts them, and reduces them in double
-precision.
+standing cross-check.  The data, angle and target types and
+``mod_z`` reject floats.
 
 Angle data comes in two forms.  ``GeneratorAngles`` and
 ``CentralAngles`` give the covering angles of a lift in turns: theta1
@@ -171,18 +170,16 @@ def presentation(a, b=None) -> SeifertPresentation:
     return SeifertPresentation(a, tuple(b) if b is not None else solve_b(a))
 
 
-def mod_z(value):
-    """Reduce to the representative in [0, 1); exact for Fractions."""
-    if isinstance(value, Fraction):
-        return value - (value.numerator // value.denominator)
-    v = float(value) % 1.0
-    return 0.0 if v >= 1.0 else v
-
-
 def _frac(v) -> Fraction:
     if isinstance(v, float):
         raise TypeError("this module is exact; pass Fraction/int, not float")
     return Fraction(v)
+
+
+def mod_z(value) -> Fraction:
+    """Reduce an exact value to its representative in [0, 1)."""
+    f = _frac(value)
+    return f - (f.numerator // f.denominator)
 
 
 @dataclass(frozen=True)

@@ -307,11 +307,11 @@ def _eig_clusters(lam: np.ndarray, radius: float) -> list[list[int]]:
     return list(groups.values())
 
 
-def _cluster_data(m: np.ndarray, tol: float) -> list[tuple[complex, float, int]]:
+def _cluster_data(m: np.ndarray) -> list[tuple[complex, float, int]]:
     """(center, diameter, multiplicity) per eigenvalue cluster of m."""
     lam = _eigvals(m)
     scale = max(1.0, float(np.max(np.abs(lam))))
-    radius = math.sqrt(tol) * scale
+    radius = math.sqrt(TOL_CLASSIFY) * scale
     out = []
     for idx in _eig_clusters(lam, radius):
         vals = lam[idx]
@@ -321,47 +321,44 @@ def _cluster_data(m: np.ndarray, tol: float) -> list[tuple[complex, float, int]]
     return out
 
 
-def _geometric_multiplicity(m: np.ndarray, center: complex, cut: float) -> int:
-    sv = np.linalg.svd(m - center * np.eye(3), compute_uv=False)
-    return max(1, int(np.sum(sv <= cut)))
+def _eigenspace(m: np.ndarray, center: complex, diam: float, mnorm: float) -> np.ndarray:
+    """Orthonormal basis (3xk columns, k >= 1) of m's eigenspace at one cluster.
+
+    The near-kernel of m - center*I, with a rank cutoff widened by the
+    cluster diameter (defective pairs split as sqrt(eps) but their mean
+    stays put) and scaled by ``mnorm`` = max(1, |m|_2).
+    """
+    _, sv, vh = np.linalg.svd(m - center * np.eye(3))
+    k = max(1, int(np.sum(sv <= max(TOL_CLASSIFY, 4.0 * diam) * mnorm)))
+    return vh[3 - k:].conj().T
 
 
-def classify(m: np.ndarray, tol_classify: float = TOL_CLASSIFY) -> IsometryType:
+def classify(m: np.ndarray) -> IsometryType:
     """Classify a U(2,1) matrix as an isometry of complex hyperbolic space.
 
     Loxodromic iff some eigenvalue modulus differs from 1 by more than
-    tol_classify; otherwise elliptic iff the matrix is diagonalizable and
+    TOL_CLASSIFY; otherwise elliptic iff the matrix is diagonalizable and
     parabolic iff not.  Both tests run on eigenvalue clusters: moduli of
-    cluster means (stable to first order) and rank of m - center*I with a
-    cutoff widened by the cluster diameter (defective pairs split as
-    sqrt(eps) but their mean stays put).
+    cluster means (stable to first order) and the dimension of each
+    repeated cluster's eigenspace (``_eigenspace``).
     """
     m = np.asarray(m, dtype=complex)
-    clusters = _cluster_data(m, tol_classify)
+    clusters = _cluster_data(m)
     for center, _, _ in clusters:
-        if abs(abs(center) - 1.0) > tol_classify * max(1.0, abs(center)):
+        if abs(abs(center) - 1.0) > TOL_CLASSIFY * max(1.0, abs(center)):
             return IsometryType.LOXODROMIC
     mnorm = max(1.0, float(np.linalg.norm(m, 2)))
     for center, diam, mult in clusters:
-        if mult < 2:
-            continue
-        cut = max(tol_classify, 4.0 * diam) * mnorm
-        if _geometric_multiplicity(m, center, cut) < mult:
+        if mult > 1 and _eigenspace(m, center, diam, mnorm).shape[1] < mult:
             return IsometryType.PARABOLIC
     return IsometryType.ELLIPTIC
 
 
-def _eigenspaces(m: np.ndarray, tol: float) -> list[np.ndarray]:
+def _eigenspaces(m: np.ndarray) -> list[np.ndarray]:
     """Orthonormal bases (3xk columns) of the eigenspaces of m, per cluster."""
     m = np.asarray(m, dtype=complex)
     mnorm = max(1.0, float(np.linalg.norm(m, 2)))
-    spaces = []
-    for center, diam, _ in _cluster_data(m, tol):
-        cut = max(tol, 4.0 * diam) * mnorm
-        _, sv, vh = np.linalg.svd(m - center * np.eye(3))
-        k = max(1, int(np.sum(sv <= cut)))
-        spaces.append(vh[3 - k:].conj().T)
-    return spaces
+    return [_eigenspace(m, center, diam, mnorm) for center, diam, _ in _cluster_data(m)]
 
 
 def _intersect(basis: np.ndarray, space: np.ndarray, sine_tol: float) -> np.ndarray | None:
@@ -379,22 +376,22 @@ def _intersect(basis: np.ndarray, space: np.ndarray, sine_tol: float) -> np.ndar
     return basis @ vh[len(sv) - k:].conj().T
 
 
-def is_reducible(ms, tol_classify: float = TOL_CLASSIFY) -> bool:
+def is_reducible(ms) -> bool:
     """True iff the matrices share a common eigenvector (common fixed line).
 
     Searches the tree of eigenspace choices, intersecting subspaces as it
     goes; tolerances are in terms of principal-angle sines at scale
-    sqrt(tol_classify).  Each matrix's eigenspaces are computed at most
+    sqrt(TOL_CLASSIFY).  Each matrix's eigenspaces are computed at most
     once, when the search first reaches it.
     """
     ms = [np.asarray(m, dtype=complex) for m in ms]
     if not ms:
         raise ValueError("need at least one matrix")
-    sine_tol = math.sqrt(tol_classify)
+    sine_tol = math.sqrt(TOL_CLASSIFY)
 
     @functools.cache
     def spaces(i: int) -> list[np.ndarray]:
-        return _eigenspaces(ms[i], tol_classify)
+        return _eigenspaces(ms[i])
 
     def common_line(i: int, basis: np.ndarray) -> bool:
         """Whether span(basis) holds a common eigenvector of ms[i:]."""

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: exit codes, envelopes, and both output modes."""
 
+import argparse
 import contextlib
 import copy
 import io
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import csu21.repfinder
 from csu21 import sigma_2_3_11_fixture
-from csu21.cli import main
+from csu21.cli import build_parser, main
 from csu21.jsonio import encode_angles, encode_matrix
 
 CASE5_DATA = {
@@ -91,14 +92,6 @@ def test_verify_table_single_case(run):
     assert len(cases) == 1
     assert cases[0]["expected"] == "7/66"
     assert cases[0]["burns_epstein"] == "59/66"
-
-
-def test_verify_table_pipeline_only(run):
-    code, out = run(["verify-table", "--pipeline-only", "--json"])
-    assert code == 0
-    payload = _envelope(out)["payload"]
-    assert payload["all_match"] is True
-    assert all("closed" not in r for r in payload["cases"])
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +268,45 @@ def test_overflowing_matrix_gives_strict_json_and_no_warnings(monkeypatch, capsy
     assert env["payload"] == payload
 
 
+# The options each command reads, beside -h/--help and --json.
+_OPTIONS = {
+    "cs-seifert": set(),
+    "verify-table": {"--case"},
+    "classify": {"--tol-group"},
+    "variation": set(),
+    "find-reps": {"--seed", "--budget"},
+    "mul": {"--tol-group", "--tol-angle"},
+    "check-u21": {"--tol-group", "--tol-angle"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OPTIONS))
+def test_each_command_takes_only_the_options_it_reads(command):
+    (subparsers,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(_OPTIONS)
+    parser = subparsers.choices[command]
+    options = {s for action in parser._actions for s in action.option_strings}
+    assert options == {"-h", "--help", "--json"} | _OPTIONS[command]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-table", "--pipeline-only"], ["find-reps", "--tol-group", "1e-9"]],
+    ids=["verify-table", "find-reps"],
+)
+def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--json"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"unrecognized arguments: {argv[1]}" in captured.err
+
+
 @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
-@pytest.mark.parametrize("option", ["--tol-group", "--tol-angle"])
-@pytest.mark.parametrize("command", ["mul", "classify", "check-u21"])
+@pytest.mark.parametrize(
+    "command, option", [(c, o) for c in sorted(_OPTIONS) for o in sorted(_OPTIONS[c]) if o.startswith("--tol-")]
+)
 def test_tolerances_must_be_finite_and_positive(capsys, command, option, value):
     # Rejected by argparse before any input is read: a usage error, exit 2.
     with pytest.raises(SystemExit) as exc:
@@ -660,9 +689,7 @@ def _assert_finite(value):
 def test_mutated_documents_keep_the_cli_contract(command, data):
     argv, seeds = _FUZZ_SEEDS[command]
     if command == "verify-table":
-        argv = data.draw(st.sampled_from([[], ["--pipeline-only"]])) + data.draw(
-            st.sampled_from([[], *(["--case", str(c)] for c in range(1, 6))])
-        )
+        argv = data.draw(st.sampled_from([[], *(["--case", str(c)] for c in range(1, 6))]))
     doc = data.draw(_mutated(seeds))
     out, err = io.StringIO(), io.StringIO()
     stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(doc))

@@ -10,7 +10,6 @@ from csu21 import (
     CentralAngles,
     ClassTarget,
     SearchResult,
-    SnapFailure,
     Unliftable,
     algebra_element,
     check_u21,
@@ -408,18 +407,18 @@ def test_extract_detects_eigenphase_mismatch():
     pres = presentation((2, 3, 11))
     target = sigma_2_3_11_targets()[4]
     fake = SearchResult((np.eye(3),) * 3, residual=0.0, seed=0, iterations=0)
-    with pytest.raises(SnapFailure):
+    with pytest.raises(ValueError):
         extract_lift_data(pres, fake, target)
 
 
 def test_extract_checks_a_search_against_the_target_it_is_given():
-    # A solution for case five snaps to no other table class.
+    # A solution for case five solves no other table class.
     pres = presentation((2, 3, 11))
     targets = sigma_2_3_11_targets()
     result = find_representation(pres, targets[4], seed=1, budget=16)
     assert result.converged
     for other in targets[:4]:
-        with pytest.raises(SnapFailure):
+        with pytest.raises(ValueError):
             extract_lift_data(pres, result, other)
 
 

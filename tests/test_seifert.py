@@ -171,6 +171,8 @@ def test_rep_data_refuses_floats():
         GeneratorAngles((0.5, F(0), F(0)), F(0), F(0))
     with pytest.raises(TypeError):
         CentralAngles(0.0, F(0))
+    with pytest.raises(TypeError):
+        mod_z(0.75)
 
 
 def test_class_target_refuses_floats():

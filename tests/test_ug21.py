@@ -343,9 +343,9 @@ def test_is_reducible_computes_each_eigenspace_once(monkeypatch, rng):
     # answers False, and reaches the second matrix from each of them.
     calls = []
 
-    def counting(m, tol):
+    def counting(m):
         calls.append(m.tobytes())
-        return eigenspaces(m, tol)
+        return eigenspaces(m)
 
     eigenspaces = csu21.ug21._eigenspaces
     monkeypatch.setattr(csu21.ug21, "_eigenspaces", counting)
