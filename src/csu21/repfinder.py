@@ -35,10 +35,14 @@ centraliser is a null direction); as the Levenberg-Marquardt damping
 falls, its step tends to the minimum-norm Gauss-Newton step, so the
 solve converges fast onto the positive-dimensional solution set.  The
 starts stay exponential, one exponential per start: Cayley starts from
-the same seeded draws made the table searches less accurate.  Over
-seeds 0..241 at budget 64 their worst full residual was 1.6e-13,
-against 1.2e-18 with exponential starts, and a solve took 39.6
-evaluations on average, against 37.3.
+the same seeded draws made the table searches less accurate (worst full
+residual 1.6e-13 against 1.2e-18 over seeds 0..241 at budget 64, with
+starts drawn at scale 0.8).  A start's chart coordinates are drawn at
+standard deviation ``START_SCALE``, and its solve stops once the
+squared defect reaches the rounding floor ``DEFECT_FLOOR``.  Over seeds
+0..241 x the five table classes at budget 64 a solve then takes 20.1
+evaluations on average (worst 47), against 37.3 (worst 828) at scale
+0.8 with no floor, and the worst full residual is 3.2e-24.
 
 ``relation_residual`` scores a candidate by the full contract: squared
 Frobenius deviations of all relations plus a spectral penalty matching
@@ -64,13 +68,29 @@ from .ug21 import J, algebra_element, lie_exp
 
 # A full residual (``relation_residual``) at most this counts as a
 # solution.  Searches of all 1386 liftable Sigma(2, 3, 11) targets (seed
-# 1, budget 3) split into 29 true solutions, at 3.7e-25 and below (1.2e-18
+# 1, budget 3) split into 29 true solutions, at 8.9e-25 and below (3.2e-24
 # over the five table classes at seeds 0..241, budget 64), and
 # near-misses, whose starts all stall at a positive minimum of the long
-# relation's defect, at 1.5e-9 and above (also when the 204 below 1e-7
+# relation's defect, at 1.6e-9 and above (also when the 201 below 1e-7
 # are searched again at budget 64).  1e-12 lies inside that
 # gap and above the search's own stop (squared defect <= 1e-16).
 CONVERGED_RESIDUAL = 1e-12
+
+# Standard deviation of the chart coordinates of a random start.  Over
+# seeds 0..241 x the five table classes at budget 64, with no defect
+# floor, a solve took 37.3 evaluations on average at scale 0.8 (worst
+# 828), 28.4 at 0.6, 25.6 at 0.5 and 23.0 at 0.4 (worst 97), and all
+# 1210 solves converged at every scale.  Wider starts land far out in
+# U(2,1), and their solves spend steps walking back.
+START_SCALE = 0.4
+
+# A solve stops once its squared defect is at most this, the rounding
+# floor of the long relation: further steps no longer improve the full
+# residual.  On the same probe it cuts a solve from 23.0 evaluations to
+# 20.1 (worst 47), and the worst full residual stays at 3.2e-24.
+# Stopping at the search's own 1e-16 would save 2.4 more but leave the
+# worst full residual at 9.9e-17.
+DEFECT_FLOOR = 1e-24
 
 
 @dataclass(frozen=True)
@@ -85,6 +105,10 @@ class SearchResult:
 
     @property
     def converged(self) -> bool:
+        """Whether the stored ``residual``, the search's own score, is at
+        most ``CONVERGED_RESIDUAL``.  The acceptance rule is
+        ``extract_lift_data``, which scores ``matrices`` again and does
+        not read this field."""
         return self.residual <= CONVERGED_RESIDUAL
 
 
@@ -99,42 +123,60 @@ def _central_scalar(target: ClassTarget) -> complex:
     return complex(np.exp(2j * math.pi * float(target.central_fraction)))
 
 
-def _circle_dist(x: float, y: float) -> float:
-    d = abs(x - y) % 1.0
-    return min(d, 1.0 - d)
+_EYE = np.eye(3)
+# The 6 assignments of three eigenphases to three target rotation numbers.
+_PERMS = np.array(list(itertools.permutations(range(3))))
 
 
-def _spectral_penalty(m: np.ndarray, tri) -> float:
-    """Best-assignment squared circle distance of eigenphases to targets."""
-    turns = (np.angle(np.linalg.eigvals(m)) / (2.0 * math.pi)) % 1.0
-    goals = [float(f) for f in tri]
-    return min(
-        sum(_circle_dist(t, g) ** 2 for t, g in zip(perm, goals))
-        for perm in itertools.permutations(turns)
-    )
+def _powers(ms: np.ndarray, exponents) -> np.ndarray:
+    """The stack of ms[i] ** exponents[i], by binary powering of the whole stack.
+
+    The bits of each exponent are read from the lowest, and every product
+    is taken in the order of ``np.linalg.matrix_power``, which forms a
+    cube as (m m) m, so the rounding is that of a per-matrix loop.
+    Squares beyond a matrix's own highest bit are not used; if they
+    overflow, nothing of them reaches the result.
+    """
+    e = np.array(exponents)
+    bits = (e[:, None] >> np.arange(int(e.max()).bit_length())) & 1 == 1  # bits[i, k]: bit k of e[i]
+    out = np.where(bits[:, 0, None, None], ms, _EYE)
+    squares = [ms]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, bits.shape[1]):
+            squares.append(squares[-1] @ squares[-1])
+            out = np.where(bits[:, k, None, None], out @ squares[-1], out)
+    if 3 in exponents:
+        out = np.where((e == 3)[:, None, None], squares[1] @ ms, out)
+    return out
+
+
+def _eigenphase_penalty(ms: np.ndarray, target: ClassTarget) -> float:
+    """Sum over the stack ms of the best-assignment squared circle distance
+    of each generator's eigenphases to its target rotation numbers."""
+    turns = (np.angle(np.linalg.eigvals(ms)) / (2.0 * math.pi)) % 1.0
+    goals = np.array([[float(f) for f in tri] for tri in target.fractions])
+    d = np.abs(turns[:, _PERMS] - goals[:, None, :]) % 1.0
+    return float((np.minimum(d, 1.0 - d) ** 2).sum(axis=-1).min(axis=-1).sum())
 
 
 def relation_residual(pres: SeifertPresentation, matrices, target: ClassTarget) -> float:
-    """Full squared residual of a candidate representation."""
-    matrices = [np.asarray(m, dtype=complex) for m in matrices]
-    if len(matrices) != pres.n:
-        raise ValueError(f"{pres.n} matrices expected, got {len(matrices)}")
-    eye = np.eye(3)
+    """Full squared residual of a candidate representation.
+
+    Squared Frobenius deviations of the power relations and of the long
+    relation, plus for each generator the best assignment (over the 6
+    permutations) of its eigenphases to its target rotation numbers, as
+    a sum of squared circle distances in turns.
+    """
+    ms = np.array([np.asarray(m, dtype=complex) for m in matrices])
+    if len(ms) != pres.n:
+        raise ValueError(f"{pres.n} matrices expected, got {len(ms)}")
     scalar = _central_scalar(target)
-    total = 0.0
-    for i, m in enumerate(matrices):
-        rel = np.linalg.matrix_power(m, pres.a[i]) * scalar ** pres.b[i]
-        total += float(np.sum(np.abs(rel - eye) ** 2))
-    prod = eye
-    for m in matrices:
-        prod = prod @ m
-    total += float(np.sum(np.abs(prod - eye) ** 2))
-    for m, tri in zip(matrices, target.fractions):
-        total += _spectral_penalty(m, tri)
-    return total
+    scalars = np.array([scalar ** b for b in pres.b])
+    rel = _powers(ms, pres.a) * scalars[:, None, None] - _EYE
+    dev = np.concatenate([rel, [functools.reduce(np.matmul, ms) - _EYE]])
+    return float(np.vdot(dev, dev).real) + _eigenphase_penalty(ms, target)
 
 
-_EYE = np.eye(3)
 # Chart directions E_0 .. E_8, one per row, each flattened row-major.
 _BASIS = np.array([algebra_element(e) for e in np.eye(9)]).reshape(9, 9)
 _FORM_SIGNS = np.outer(J.diagonal(), J.diagonal()).real  # J A J = A * _FORM_SIGNS
@@ -197,17 +239,18 @@ def _defect_jacobian(ms: np.ndarray) -> np.ndarray:
     return np.concatenate([dp.real, dp.imag], axis=1).transpose(1, 0, 2).reshape(18, -1)
 
 
-def _levenberg_marquardt(fun, jac, x, max_nfev: int, step=np.add):
+def _levenberg_marquardt(fun, jac, x, max_nfev: int, step=np.add, floor: float = 0.0):
     """Minimise |fun(x)|^2 from x by Levenberg-Marquardt; return the last accepted x.
 
     Nielsen's damping rule (Madsen, Nielsen & Tingleff, Methods for
     non-linear least squares problems, 2004, section 3.2).  ``jac(x)`` is
     the Jacobian of h -> fun(step(x, h)) at h = 0; the default step is
-    vector addition.  Stops after ``max_nfev`` calls of ``fun``, when the
-    step h is below 1e-15, or when the gradient J^T r is below 1e-15 in
-    every entry (a zero Jacobian included).  A trial point whose residual
-    is not finite is rejected like any step that does not reduce |r|^2,
-    and so is a step whose damped normal equations are singular.
+    vector addition.  Stops after ``max_nfev`` calls of ``fun``, once
+    |r|^2 <= ``floor`` (with no Jacobian at that point), when the step h
+    is below 1e-15, or when the gradient J^T r is below 1e-15 in every
+    entry (a zero Jacobian included).  A trial point whose residual is
+    not finite is rejected like any step that does not reduce |r|^2, and
+    so is a step whose damped normal equations are singular.
     """
     r = fun(x)
     nfev = 1
@@ -215,7 +258,7 @@ def _levenberg_marquardt(fun, jac, x, max_nfev: int, step=np.add):
     a, g = jx.T @ jx, jx.T @ r
     mu, nu = 1e-3 * a.diagonal().max(), 2.0
     eye = np.eye(len(g))
-    while nfev < max_nfev and np.abs(g).max() > 1e-15:
+    while nfev < max_nfev and r @ r > floor and np.abs(g).max() > 1e-15:
         try:
             h = np.linalg.solve(a + mu * eye, -g)
         except np.linalg.LinAlgError:  # mu fell below the rounding of a rank-deficient J^T J
@@ -230,6 +273,8 @@ def _levenberg_marquardt(fun, jac, x, max_nfev: int, step=np.add):
         rho = (r @ r - r_new @ r_new) / (h @ (mu * h - g))
         if rho > 0:
             x, r = x_new, r_new
+            if r @ r <= floor:
+                break
             jx = jac(x)
             a, g = jx.T @ jx, jx.T @ r
             mu *= max(1 / 3, 1 - (2 * rho - 1) ** 3)
@@ -250,9 +295,10 @@ def find_representation(
 
     ``budget`` counts starts, at least one.  Start 0 evaluates the
     all-diagonal configuration once; starts 1 .. budget - 1 each run one
-    Levenberg-Marquardt solve from a seeded random point.  The search
-    stops once the squared defect of the long relation is at most 1e-16,
-    and returns the best candidate evaluated; ``converged`` reports
+    Levenberg-Marquardt solve from a seeded random point, which stops at
+    the squared defect ``DEFECT_FLOOR``.  No further start is made once
+    the squared defect of the long relation is at most 1e-16, and the
+    search returns the best candidate evaluated; ``converged`` reports
     whether its full residual is at most ``CONVERGED_RESIDUAL``.
     Identical (seed, budget) reruns return identical results.
     """
@@ -283,8 +329,10 @@ def find_representation(
         for _ in range(1, budget):
             if best_val <= 1e-16:
                 break
-            start = _conjugate_by(diags, lie_exp(_increments(rng.normal(size=dim) * 0.8)))
-            _levenberg_marquardt(residual_vector, jacobian, start, max_nfev=400, step=_conjugate)
+            start = _conjugate_by(diags, lie_exp(_increments(rng.normal(size=dim) * START_SCALE)))
+            _levenberg_marquardt(
+                residual_vector, jacobian, start, max_nfev=400, step=_conjugate, floor=DEFECT_FLOOR
+            )
     residual = relation_residual(pres, best_ms, target)
     return SearchResult(tuple(best_ms), residual, seed, evals)
 

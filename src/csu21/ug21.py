@@ -34,7 +34,6 @@ state is mutated, so everything here is safe to call concurrently.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -281,14 +280,17 @@ def _eigvals(m: np.ndarray) -> np.ndarray:
         raise DegenerateSpectrum(str(exc)) from exc
 
 
-def _eig_clusters(lam: np.ndarray, radius: float) -> list[list[int]]:
-    """Connected components of eigenvalues under |li - lj| <= radius.
+def _clusters(lam: list[complex]) -> list[tuple[complex, float, int]]:
+    """(center, diameter, multiplicity) per eigenvalue cluster of one matrix.
 
-    Defective eigenvalues of a perturbed matrix split on a sqrt(eps)
-    scale, far beyond the perturbation itself, so spectral decisions are
-    made on clusters rather than raw eigenvalues.
+    Clusters are the connected components of the eigenvalues under
+    |li - lj| <= sqrt(TOL_CLASSIFY) max(1, max |l|).  Defective
+    eigenvalues of a perturbed matrix split on a sqrt(eps) scale, far
+    beyond the perturbation itself, so spectral decisions are made on
+    clusters rather than raw eigenvalues.
     """
     n = len(lam)
+    radius = math.sqrt(TOL_CLASSIFY) * max(1.0, *map(abs, lam))
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -301,36 +303,25 @@ def _eig_clusters(lam: np.ndarray, radius: float) -> list[list[int]]:
         for j in range(i + 1, n):
             if abs(lam[i] - lam[j]) <= radius:
                 parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
+    groups: dict[int, list[complex]] = {}
     for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+        groups.setdefault(find(i), []).append(lam[i])
+    return [
+        (sum(vals) / len(vals), max(abs(u - v) for u in vals for v in vals), len(vals))
+        for vals in groups.values()
+    ]
 
 
-def _cluster_data(m: np.ndarray) -> list[tuple[complex, float, int]]:
-    """(center, diameter, multiplicity) per eigenvalue cluster of m."""
-    lam = _eigvals(m)
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    radius = math.sqrt(TOL_CLASSIFY) * scale
-    out = []
-    for idx in _eig_clusters(lam, radius):
-        vals = lam[idx]
-        center = complex(np.mean(vals))
-        diam = max((abs(u - v) for u in vals for v in vals), default=0.0)
-        out.append((center, float(diam), len(idx)))
-    return out
+def _kernel_rank(sv: np.ndarray, diam, mnorm):
+    """Dimension (at least 1) of each eigenspace, from the singular values of m - center*I.
 
-
-def _eigenspace(m: np.ndarray, center: complex, diam: float, mnorm: float) -> np.ndarray:
-    """Orthonormal basis (3xk columns, k >= 1) of m's eigenspace at one cluster.
-
-    The near-kernel of m - center*I, with a rank cutoff widened by the
-    cluster diameter (defective pairs split as sqrt(eps) but their mean
-    stays put) and scaled by ``mnorm`` = max(1, |m|_2).
+    ``sv`` holds the singular values in its last axis; ``diam`` and
+    ``mnorm`` = max(1, |m|_2) broadcast against the others.  The rank
+    cutoff is widened by the cluster diameter (defective pairs split as
+    sqrt(eps) but their mean stays put) and scaled by ``mnorm``.
     """
-    _, sv, vh = np.linalg.svd(m - center * np.eye(3))
-    k = max(1, int(np.sum(sv <= max(TOL_CLASSIFY, 4.0 * diam) * mnorm)))
-    return vh[3 - k:].conj().T
+    cut = np.maximum(TOL_CLASSIFY, 4.0 * np.asarray(diam)) * mnorm
+    return np.maximum(1, np.sum(sv <= cut[..., None], axis=-1))
 
 
 def classify(m: np.ndarray) -> IsometryType:
@@ -340,67 +331,68 @@ def classify(m: np.ndarray) -> IsometryType:
     TOL_CLASSIFY; otherwise elliptic iff the matrix is diagonalizable and
     parabolic iff not.  Both tests run on eigenvalue clusters: moduli of
     cluster means (stable to first order) and the dimension of each
-    repeated cluster's eigenspace (``_eigenspace``).
+    repeated cluster's eigenspace (``_kernel_rank``).
     """
     m = np.asarray(m, dtype=complex)
-    clusters = _cluster_data(m)
+    clusters = _clusters(_eigvals(m).tolist())
     for center, _, _ in clusters:
         if abs(abs(center) - 1.0) > TOL_CLASSIFY * max(1.0, abs(center)):
             return IsometryType.LOXODROMIC
     mnorm = max(1.0, float(np.linalg.norm(m, 2)))
     for center, diam, mult in clusters:
-        if mult > 1 and _eigenspace(m, center, diam, mnorm).shape[1] < mult:
-            return IsometryType.PARABOLIC
+        if mult > 1:
+            sv = np.linalg.svd(m - center * np.eye(3), compute_uv=False)
+            if _kernel_rank(sv, diam, mnorm) < mult:
+                return IsometryType.PARABOLIC
     return IsometryType.ELLIPTIC
 
 
-def _eigenspaces(m: np.ndarray) -> list[np.ndarray]:
-    """Orthonormal bases (3xk columns) of the eigenspaces of m, per cluster."""
-    m = np.asarray(m, dtype=complex)
-    mnorm = max(1.0, float(np.linalg.norm(m, 2)))
-    return [_eigenspace(m, center, diam, mnorm) for center, diam, _ in _cluster_data(m)]
+def _eigenspaces(ms: np.ndarray) -> list[np.ndarray]:
+    """The eigenspaces of each matrix of the (k, 3, 3) stack ms, one per eigenvalue cluster.
 
-
-def _intersect(basis: np.ndarray, space: np.ndarray, sine_tol: float) -> np.ndarray | None:
-    """Basis of the near-intersection of two column spans, or None.
-
-    Singular values of (I - P_space) basis are the sines of the principal
-    angles; directions with sine <= sine_tol are kept.
+    Entry i is a (c, 3, 3) stack, one slice per cluster of ms[i], whose
+    columns are an orthonormal basis of the near-kernel of ms[i] -
+    center*I (``_kernel_rank``) padded with zero columns.  One batched
+    eigvals, one batched 2-norm and one batched SVD serve all of them.
     """
-    proj = space @ space.conj().T
-    resid = basis - proj @ basis
-    _, sv, vh = np.linalg.svd(resid, full_matrices=False)
-    k = int(np.sum(sv <= sine_tol))
-    if k == 0:
-        return None
-    return basis @ vh[len(sv) - k:].conj().T
+    clusters = [_clusters(lam) for lam in _eigvals(ms).tolist()]
+    mnorms = np.maximum(1.0, np.linalg.norm(ms, 2, axis=(-2, -1)))
+    owner = [i for i, cl in enumerate(clusters) for _ in cl]
+    centers = np.array([center for cl in clusters for center, _, _ in cl])
+    diams = np.array([diam for cl in clusters for _, diam, _ in cl])
+    _, sv, vh = np.linalg.svd(ms[owner] - centers[:, None, None] * np.eye(3))
+    rank = _kernel_rank(sv, diams, mnorms[owner])
+    keep = np.arange(3) >= 3 - rank[:, None]  # the last rank rows of vh
+    padded = vh.conj().transpose(0, 2, 1) * keep[:, None, :]
+    return np.split(padded, np.cumsum([len(cl) for cl in clusters[:-1]]))
 
 
 def is_reducible(ms) -> bool:
     """True iff the matrices share a common eigenvector (common fixed line).
 
     Searches the tree of eigenspace choices, intersecting subspaces as it
-    goes; tolerances are in terms of principal-angle sines at scale
-    sqrt(TOL_CLASSIFY).  Each matrix's eigenspaces are computed at most
-    once, when the search first reaches it.
+    goes.  The eigenspaces of the first matrix are the roots.  A subspace
+    with basis B meets all eigenspaces of the next matrix in one batched
+    SVD of (I - P) B over their projectors P: the singular values are the
+    sines of the principal angles, and the directions with sine at most
+    sqrt(TOL_CLASSIFY) span the intersection.
     """
-    ms = [np.asarray(m, dtype=complex) for m in ms]
-    if not ms:
+    ms = np.array([np.asarray(m, dtype=complex) for m in ms])
+    if not len(ms):
         raise ValueError("need at least one matrix")
     sine_tol = math.sqrt(TOL_CLASSIFY)
-
-    @functools.cache
-    def spaces(i: int) -> list[np.ndarray]:
-        return _eigenspaces(ms[i])
+    spaces = _eigenspaces(ms)
+    projectors = [p @ p.conj().transpose(0, 2, 1) for p in spaces]
 
     def common_line(i: int, basis: np.ndarray) -> bool:
         """Whether span(basis) holds a common eigenvector of ms[i:]."""
         if i == len(ms):
             return True
-        for space in spaces(i):
-            sub = _intersect(basis, space, sine_tol)
-            if sub is not None and common_line(i + 1, sub):
+        _, sv, vh = np.linalg.svd(basis - projectors[i] @ basis, full_matrices=False)
+        for s, v in zip(sv, vh):
+            k = int(np.sum(s <= sine_tol))
+            if k and common_line(i + 1, basis @ v[len(s) - k:].conj().T):
                 return True
         return False
 
-    return common_line(0, np.eye(3, dtype=complex))
+    return any(common_line(1, b[:, b.any(axis=0)]) for b in spaces[0])

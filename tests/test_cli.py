@@ -511,19 +511,20 @@ def test_find_reps_solves_case_five(run):
 
 def test_find_reps_matches_eigenphases_once_per_generator(run, monkeypatch):
     # The search scores the eigenphase match into its residual, and a
-    # converged residual already bounds it: one match per generator and job.
-    calls = []
-    penalty = csu21.repfinder._spectral_penalty
+    # converged residual already bounds it: one batched match of all the
+    # generators per job.
+    stacks = []
+    penalty = csu21.repfinder._eigenphase_penalty
 
-    def counting(m, tri):
-        calls.append(tri)
-        return penalty(m, tri)
+    def counting(ms, target):
+        stacks.append(ms.shape)
+        return penalty(ms, target)
 
-    monkeypatch.setattr("csu21.repfinder._spectral_penalty", counting)
+    monkeypatch.setattr("csu21.repfinder._eigenphase_penalty", counting)
     doc = {"a": [2, 3, 11], "target": CASE5_TARGET}
     code, _ = run(["find-reps", "--seed", "1", "--budget", "16", "--json"], stdin_text=json.dumps(doc))
     assert code == 0
-    assert len(calls) == 3
+    assert stacks == [(3, 3, 3)]
 
 
 def test_find_reps_rejects_unliftable_target(run):

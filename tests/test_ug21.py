@@ -340,12 +340,13 @@ def test_is_reducible_false_for_generic_pair(rng):
 
 def test_is_reducible_computes_each_eigenspace_once(monkeypatch, rng):
     # The search tries every eigenspace of the first matrix before it
-    # answers False, and reaches the second matrix from each of them.
-    calls = []
+    # answers False, and reaches the second matrix from each of them; the
+    # eigenspaces of both come from one batched SVD.
+    stacks = []
 
-    def counting(m):
-        calls.append(m.tobytes())
-        return eigenspaces(m)
+    def counting(ms):
+        stacks.append(ms.copy())
+        return eigenspaces(ms)
 
     eigenspaces = csu21.ug21._eigenspaces
     monkeypatch.setattr(csu21.ug21, "_eigenspaces", counting)
@@ -353,7 +354,77 @@ def test_is_reducible_computes_each_eigenspace_once(monkeypatch, rng):
     u = lie_exp(random_algebra_element(rng, 0.8))
     m2 = u @ diag(np.exp(1.1j), np.exp(-0.3j), np.exp(0.6j)) @ J @ u.conj().T @ J
     assert not is_reducible([m1, m2])
-    assert sorted(calls) == sorted([m1.tobytes(), m2.tobytes()])
+    assert len(stacks) == 1
+    assert np.array_equal(stacks[0], np.array([m1, m2]))
+
+
+def _burnside_irreducible(ms):
+    # Burnside: the words of length <= 4 in three 3x3 matrices span all of
+    # M_3(C) iff the matrices have no common invariant subspace, and in
+    # U(2,1) that holds iff they have no common eigenvector.
+    words, layer = [np.eye(3, dtype=complex)], [np.eye(3, dtype=complex)]
+    for _ in range(4):
+        layer = [w @ m for w in layer for m in ms]
+        words += layer
+    sv = np.linalg.svd(np.array([w.ravel() / np.linalg.norm(w) for w in words]), compute_uv=False)
+    return sv[8] > 1e-6 * sv[0]
+
+
+def _phases(rng):
+    # a random phase triple, or one with a repeated eigenvalue (0, 1/2, 1/2)
+    turns = rng.uniform(size=3) if rng.uniform() < 0.6 else rng.permutation([0.0, 0.5, 0.5])
+    return np.exp(2j * np.pi * turns)
+
+
+def _block(rng):
+    # an element of U(2) x U(1), the stabiliser of the negative line e3
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    out = np.zeros((3, 3), dtype=complex)
+    out[:2, :2] = q
+    out[2, 2] = np.exp(2j * np.pi * rng.uniform())
+    return out
+
+
+def _parabolic(rng):
+    # Heisenberg translation fixing the null line v = (0, 1, 1): a
+    # horizontal part w v^H J - v w^H J (w = (z, 0, 0)) and a vertical
+    # part i t v v^H J, both nilpotent in u(2,1)
+    v = np.array([0.0, 1.0, 1.0], dtype=complex)
+    w = np.array([rng.normal() + 1j * rng.normal(), 0.0, 0.0])
+    vj, wj = v.conj() @ J, w.conj() @ J
+    n = np.outer(w, vj) - np.outer(v, wj) + 1j * rng.normal() * np.outer(v, vj)
+    return lie_exp(n)
+
+
+def _u21_inverse(u):
+    return J @ u.conj().T @ J
+
+
+def _triple(rng, kind):
+    """Three U(2,1) matrices and whether they were built with a common eigenvector."""
+    if kind == "reducible elliptic":
+        u = lie_exp(random_algebra_element(rng, 0.6))
+        ws = [_block(rng) for _ in range(3)]
+        return [u @ w @ np.diag(_phases(rng)) @ _u21_inverse(w) @ _u21_inverse(u) for w in ws], True
+    if kind == "irreducible elliptic":
+        us = [lie_exp(random_algebra_element(rng, 0.6)) for _ in range(3)]
+        return [u @ np.diag(_phases(rng)) @ _u21_inverse(u) for u in us], False
+    a, b = np.exp(2j * np.pi * rng.uniform(size=2))
+    ms = [_parabolic(rng), np.diag([a, b, b]), _parabolic(rng)]  # all fix (0, 1, 1)
+    if kind == "reducible parabolic":
+        u = lie_exp(random_algebra_element(rng, 0.6))
+        return [u @ m @ _u21_inverse(u) for m in ms], True
+    us = [lie_exp(random_algebra_element(rng, 0.6)) for _ in range(3)]
+    return [u @ m @ _u21_inverse(u) for u, m in zip(us, ms)], False
+
+
+def test_is_reducible_agrees_with_burnside(rng):
+    kinds = ["reducible elliptic", "irreducible elliptic", "reducible parabolic", "irreducible parabolic"]
+    for k in range(120):
+        ms, built_reducible = _triple(rng, kinds[k % 4])
+        assert max(check_u21(m) for m in ms) <= 1e-10
+        assert _burnside_irreducible(ms) is not built_reducible, (k, kinds[k % 4])
+        assert is_reducible(ms) is built_reducible, (k, kinds[k % 4])
 
 
 def test_is_reducible_needs_input():
