@@ -104,9 +104,13 @@ def decode_fraction(v) -> Fraction:
         raise ValueError(f"bad rational literal {v!r}: {exc}") from exc
 
 
-def encode_fraction(f: Fraction) -> str:
-    f = Fraction(f)
-    return f"{f.numerator}/{f.denominator}"
+def encode_fraction(f: Fraction | int) -> str:
+    """The exact value as a "num/den" string; a float or bool is refused, not converted."""
+    if isinstance(f, Fraction):
+        return f"{f.numerator}/{f.denominator}"
+    if isinstance(f, int) and not isinstance(f, bool):
+        return f"{f}/1"
+    raise TypeError(f"exact values are Fraction or int, got {f!r}")
 
 
 def _int(v) -> int:

@@ -33,10 +33,15 @@ variation formulas through a path of cone connections:
     cs(A_0) = -(a/2) S' (-P + Q + 2 s_n/a_n) - (p_0 P + q_0 Q + r_0 R)/2,
     cs(B_0) = (a/2) (s_n/a_n) (-P + Q + 2 S'),      S' = sum_{i<n} s_i/a_i,
 
-with cs = cs(A_0) - cs(B_0) mod Z.  Both routes are implemented on
-``fractions.Fraction`` throughout, and their exact agreement is a
-standing cross-check.  The data, angle and target types and
-``mod_z`` reject floats.
+with cs = cs(A_0) - cs(B_0) mod Z.  Both routes are exact, and their
+agreement is a standing cross-check.  Every value that enters or leaves
+this module is a ``fractions.Fraction`` (or an int); inside, the checks
+and both routes work on integer numerators over one common denominator
+d, the lcm of the data's denominators, and build a ``Fraction`` only for
+a returned value, a stored field or the detail of a failing check.  No
+float appears anywhere: the data, angle and target types and ``mod_z``
+reject floats, and the presentation and the twists s_i reject
+non-integral values.
 
 Angle data comes in two forms.  ``GeneratorAngles`` and
 ``CentralAngles`` give the covering angles of a lift in turns: theta1
@@ -99,6 +104,14 @@ def _ext_gcd(p: int, q: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """The values as ints; int() would truncate 2.9 to 2, so non-integers raise."""
+    for v in values:
+        if not isinstance(v, numbers.Integral):
+            raise TypeError(f"{what} must be integers, got {v!r}")
+    return tuple(int(v) for v in values)
+
+
 def _validate_moduli(a: tuple[int, ...]) -> None:
     if len(a) < 3:
         raise ValueError(f"need at least 3 Seifert moduli, got {len(a)}")
@@ -119,7 +132,7 @@ def solve_b(a) -> tuple[int, ...]:
     window [-a_i/2, a_i/2), compensating on b_n.  Homology-sphere data
     makes the cofactors globally coprime, so a solution always exists.
     """
-    a = tuple(int(ai) for ai in a)
+    a = _integers(a, "Seifert moduli")
     _validate_moduli(a)
     total = math.prod(a)
     cof = [total // ai for ai in a]
@@ -146,13 +159,14 @@ class SeifertPresentation:
     b: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(x) for x in self.a))
-        object.__setattr__(self, "b", tuple(int(x) for x in self.b))
+        object.__setattr__(self, "a", _integers(self.a, "Seifert moduli"))
+        object.__setattr__(self, "b", _integers(self.b, "Seifert twists"))
         _validate_moduli(self.a)
         if len(self.b) != len(self.a):
             raise LengthMismatch(f"{len(self.a)} moduli but {len(self.b)} twists")
         total = self.product
-        if sum(Fraction(bi, ai) for ai, bi in zip(self.a, self.b)) != Fraction(1, total):
+        # sum b_i/a_i = 1/a, multiplied through by a
+        if sum(bi * (total // ai) for ai, bi in zip(self.a, self.b)) != 1:
             raise ValueError("twists must satisfy sum b_i/a_i = 1/(a_1...a_n)")
 
     @property
@@ -166,11 +180,13 @@ class SeifertPresentation:
 
 def presentation(a, b=None) -> SeifertPresentation:
     """Presentation with the given moduli; b solved canonically if omitted."""
-    a = tuple(int(ai) for ai in a)
+    a = _integers(a, "Seifert moduli")
     return SeifertPresentation(a, tuple(b) if b is not None else solve_b(a))
 
 
 def _frac(v) -> Fraction:
+    if type(v) is Fraction:
+        return v
     if isinstance(v, float):
         raise TypeError("this module is exact; pass Fraction/int, not float")
     return Fraction(v)
@@ -199,7 +215,7 @@ class LiftedRepData:
             object.__setattr__(self, name, _frac(getattr(self, name)))
         for name in ("p", "q", "r"):
             object.__setattr__(self, name, tuple(_frac(v) for v in getattr(self, name)))
-        object.__setattr__(self, "s", tuple(int(v) for v in self.s))
+        object.__setattr__(self, "s", _integers(self.s, "twists s_i"))
 
 
 @dataclass(frozen=True)
@@ -224,37 +240,67 @@ class ValidationReport:
         return tuple(c for c in self.checks if not c.ok)
 
 
+def _over_common_denominator(fractions) -> tuple[int, list[int]]:
+    """(d, numerators): d is the lcm of the denominators, each fraction numerator/d."""
+    dens = set(f.denominator for f in fractions)
+    d = math.lcm(*dens)
+    scale = {e: d // e for e in dens}
+    return d, [f.numerator * scale[f.denominator] for f in fractions]
+
+
+def _numerators(data: LiftedRepData):
+    """(d, P0, Q0, R0, P, Q, R): every angle of the data as its numerator
+    over one common denominator d (p_0 = P0/d, p_i = P[i]/d, ...)."""
+    d, nums = _over_common_denominator((data.p0, data.q0, data.r0, *data.p, *data.q, *data.r))
+    i = 3 + len(data.p)
+    j = i + len(data.q)
+    return d, nums[0], nums[1], nums[2], nums[3:i], nums[i:j], nums[j:]
+
+
 def validate_rep(pres: SeifertPresentation, data: LiftedRepData) -> ValidationReport:
-    """Check every presentation constraint exactly, naming each identity."""
+    """Check every presentation constraint exactly, naming each identity.
+
+    Each identity is tested on the integer numerators of ``_numerators``,
+    multiplied through by d (and by a for the sums); a failing check's
+    detail shows both sides as the reduced fractions.
+    """
     n = pres.n
     for name in ("p", "q", "r", "s"):
         if len(getattr(data, name)) != n:
             raise LengthMismatch(f"{name} has {len(getattr(data, name))} entries for {n} generators")
+    d, P0, Q0, R0, P, Q, R = _numerators(data)
     checks = []
 
     def add(name, ok, detail):
         """``detail`` is a callable, called only when the check fails."""
         checks.append(CheckResult(name, ok, "" if ok else detail()))
 
-    dq, dr = data.p0 - data.q0, data.p0 - data.r0
-    add("p_0-q_0 in Z", dq.denominator == 1, lambda: f"p_0-q_0 = {dq}")
-    add("p_0-r_0 in Z", dr.denominator == 1, lambda: f"p_0-r_0 = {dr}")
-    for i in range(n):
-        ai, bi, si = pres.a[i], pres.b[i], data.s[i]
-        lhs = ai * data.p[i] + bi * data.p0
-        add("a_ip_i+b_ip_0=s_i", lhs == si, lambda: f"i={i + 1}: {lhs} vs s_i={si}")
-        lhs = ai * data.q[i] + bi * data.q0
-        add("a_iq_i+b_iq_0=-s_i", lhs == -si, lambda: f"i={i + 1}: {lhs} vs -s_i={-si}")
-        lhs = ai * data.r[i] + bi * data.r0
-        add("a_ir_i+b_ir_0=0", lhs == 0, lambda: f"i={i + 1}: {lhs} vs 0")
-    ssum = sum(Fraction(data.s[i], pres.a[i]) for i in range(n))
+    add("p_0-q_0 in Z", (P0 - Q0) % d == 0, lambda: f"p_0-q_0 = {Fraction(P0 - Q0, d)}")
+    add("p_0-r_0 in Z", (P0 - R0) % d == 0, lambda: f"p_0-r_0 = {Fraction(P0 - R0, d)}")
+    for i, (ai, bi, si, Pi, Qi, Ri) in enumerate(zip(pres.a, pres.b, data.s, P, Q, R), 1):
+        lhs = ai * Pi + bi * P0
+        add("a_ip_i+b_ip_0=s_i", lhs == si * d, lambda: f"i={i}: {Fraction(lhs, d)} vs s_i={si}")
+        lhs = ai * Qi + bi * Q0
+        add("a_iq_i+b_iq_0=-s_i", lhs == -si * d, lambda: f"i={i}: {Fraction(lhs, d)} vs -s_i={-si}")
+        lhs = ai * Ri + bi * R0
+        add("a_ir_i+b_ir_0=0", lhs == 0, lambda: f"i={i}: {Fraction(lhs, d)} vs 0")
+    # The sums times a d: sum s_i/a_i = S/a and sum p_i + p_0/a = psum/(a d), and so on.
     total = pres.product
-    psum = sum(data.p, Fraction(0)) + data.p0 / total
-    add("sum s_i/a_i=sum p_i+p_0/a", ssum == psum, lambda: f"{ssum} vs {psum}")
-    qsum = -sum(data.q, Fraction(0)) - data.q0 / total
-    add("sum s_i/a_i=-sum q_i-q_0/a", ssum == qsum, lambda: f"{ssum} vs {qsum}")
-    rsum = -total * sum(data.r, Fraction(0))
-    add("r_0=-a*sum r_i", data.r0 == rsum, lambda: f"r_0={data.r0} vs -a*sum r_i={rsum}")
+    S = sum(si * (total // ai) for ai, si in zip(pres.a, data.s))
+    psum = total * sum(P) + P0
+    add(
+        "sum s_i/a_i=sum p_i+p_0/a",
+        S * d == psum,
+        lambda: f"{Fraction(S, total)} vs {Fraction(psum, total * d)}",
+    )
+    qsum = -total * sum(Q) - Q0
+    add(
+        "sum s_i/a_i=-sum q_i-q_0/a",
+        S * d == qsum,
+        lambda: f"{Fraction(S, total)} vs {Fraction(qsum, total * d)}",
+    )
+    rsum = -total * sum(R)
+    add("r_0=-a*sum r_i", R0 == rsum, lambda: f"r_0={data.r0} vs -a*sum r_i={Fraction(rsum, d)}")
     return ValidationReport(tuple(checks))
 
 
@@ -267,12 +313,16 @@ def _require_valid(pres, data, validate):
 
 
 def cs_closed(pres: SeifertPresentation, data: LiftedRepData, validate: bool = True) -> Fraction:
-    """Closed-form invariant (a/2)(P^2 + Q^2 + R^2) mod Z, exactly."""
+    """Closed-form invariant (a/2)(P^2 + Q^2 + R^2) mod Z, exactly.
+
+    With P = sum p_i = sum(P_i)/d (and Q, R alike) this is one fraction
+    a (P'^2 + Q'^2 + R'^2) / (2 d^2) on the numerator sums P', Q', R'.
+    """
     _require_valid(pres, data, validate)
-    P = sum(data.p, Fraction(0))
-    Q = sum(data.q, Fraction(0))
-    R = sum(data.r, Fraction(0))
-    return mod_z(Fraction(pres.product, 2) * (P * P + Q * Q + R * R))
+    d, _, _, _, P, Q, R = _numerators(data)
+    P, Q, R = sum(P), sum(Q), sum(R)
+    den = 2 * d * d
+    return Fraction(pres.product * (P * P + Q * Q + R * R) % den, den)  # mod Z
 
 
 def cs_pipeline(pres: SeifertPresentation, data: LiftedRepData, validate: bool = True) -> Fraction:
@@ -282,20 +332,21 @@ def cs_pipeline(pres: SeifertPresentation, data: LiftedRepData, validate: bool =
     the endpoint contribution cs(A_0) of the deformation to the flat
     cone, minus the base contribution cs(B_0) of the comparison cone.
     Agrees with ``cs_closed`` mod Z for all valid data.
+
+    Both terms are numerators over 2 a d^2: S' = Sp/a and s_n/a_n = Sl/a,
+    the angles are numerators over d as in ``_numerators``.
     """
     _require_valid(pres, data, validate)
-    n = pres.n
     total = pres.product
-    P = sum(data.p, Fraction(0))
-    Q = sum(data.q, Fraction(0))
-    R = sum(data.r, Fraction(0))
-    s_part = sum(Fraction(data.s[i], pres.a[i]) for i in range(n - 1))
-    s_last = Fraction(data.s[-1], pres.a[-1])
-    cs_a0 = -Fraction(total, 2) * s_part * (-P + Q + 2 * s_last) - Fraction(1, 2) * (
-        data.p0 * P + data.q0 * Q + data.r0 * R
-    )
-    cs_b0 = Fraction(total, 2) * s_last * (-P + Q + 2 * s_part)
-    return mod_z(cs_a0 - cs_b0)
+    d, P0, Q0, R0, P, Q, R = _numerators(data)
+    P, Q, R = sum(P), sum(Q), sum(R)
+    Sp = sum(si * (total // ai) for ai, si in zip(pres.a[:-1], data.s[:-1]))
+    Sl = data.s[-1] * (total // pres.a[-1])
+    slope = total * d * (Q - P)  # a d^2 (-P + Q)
+    cs_a0 = -Sp * (slope + 2 * Sl * d * d) - total * (P0 * P + Q0 * Q + R0 * R)
+    cs_b0 = Sl * (slope + 2 * Sp * d * d)
+    den = 2 * total * d * d
+    return Fraction((cs_a0 - cs_b0) % den, den)  # mod Z
 
 
 def burns_epstein(cs):
@@ -350,40 +401,46 @@ def canonical_lift_data(
     generators = tuple(generators)
     if len(generators) != pres.n:
         raise LengthMismatch(f"{pres.n} generators expected, got {len(generators)}")
-    sigma0 = central.theta1_turns
-    r0 = central.theta2_turns
-    d = sigma0 - 3 * r0
-    if d.denominator != 1:
-        raise Unliftable(f"central angles need sigma_0-3r_0 in Z, got {d}")
-    j = d.numerator // 2
-    p0 = r0 + j
-    q0 = r0 + (d.numerator - j)
-    p, q, r, s = [], [], [], []
+    # Every angle as its numerator over the common denominator d;
+    # sigma_0 - 3 r_0 must be an integer m.
+    angles = [central.theta1_turns, central.theta2_turns]
+    for gen in generators:
+        angles += (gen.theta1_turns, gen.theta2_turns, *gen.fractions)
+    d, (S0, R0, *per_gen) = _over_common_denominator(angles)
+    m, rem = divmod(S0 - 3 * R0, d)
+    if rem:
+        raise Unliftable(f"central angles need sigma_0-3r_0 in Z, got {Fraction(S0 - 3 * R0, d)}")
+    j = m // 2
+    P0 = R0 + j * d
+    p, q, s = [], [], []
     for i, gen in enumerate(generators):
         ai, bi = pres.a[i], pres.b[i]
+        Sig, Ri, Fp, Fq, Fr = per_gen[5 * i:5 * i + 5]
+        lhs = ai * Sig + bi * S0
+        if lhs:
+            raise Unliftable(f"i={i + 1}: a_i*theta1_i+b_i*theta1_0 = {Fraction(lhs, d)} != 0")
+        lhs = ai * Ri + bi * R0
+        if lhs:
+            raise Unliftable(f"i={i + 1}: a_ir_i+b_ir_0 = {Fraction(lhs, d)} != 0")
         fp, fq, fr = gen.fractions
-        sigma_i = gen.theta1_turns
-        r_i = gen.theta2_turns
-        if ai * sigma_i + bi * sigma0 != 0:
-            raise Unliftable(
-                f"i={i + 1}: a_i*theta1_i+b_i*theta1_0 = {ai * sigma_i + bi * sigma0} != 0"
-            )
-        if ai * r_i + bi * r0 != 0:
-            raise Unliftable(f"i={i + 1}: a_ir_i+b_ir_0 = {ai * r_i + bi * r0} != 0")
-        if (r_i - fr).denominator != 1:
-            raise Unliftable(f"i={i + 1}: theta2 lift {r_i} not congruent to r-fraction {fr}")
-        p_i = fp
-        q_i = sigma_i - p_i - r_i
-        if (q_i - fq).denominator != 1:
-            raise Unliftable(f"i={i + 1}: forced q_i={q_i} not congruent to q-fraction {fq}")
-        s_i = ai * p_i + bi * p0
-        if s_i.denominator != 1:
-            raise Unliftable(f"i={i + 1}: a_ip_i+b_ip_0 = {s_i} is not an integer")
-        p.append(p_i)
-        q.append(q_i)
-        r.append(r_i)
-        s.append(s_i.numerator)
-    data = LiftedRepData(p0, q0, r0, tuple(p), tuple(q), tuple(r), tuple(s))
+        if (Ri - Fr) % d:
+            raise Unliftable(f"i={i + 1}: theta2 lift {gen.theta2_turns} not congruent to r-fraction {fr}")
+        # p_i is the p-slot fraction as given; q_i = sigma_i - p_i - r_i.
+        Qi = Sig - Fp - Ri
+        if (Qi - Fq) % d:
+            raise Unliftable(f"i={i + 1}: forced q_i={Fraction(Qi, d)} not congruent to q-fraction {fq}")
+        lhs = ai * Fp + bi * P0
+        s_i, rem = divmod(lhs, d)
+        if rem:
+            raise Unliftable(f"i={i + 1}: a_ip_i+b_ip_0 = {Fraction(lhs, d)} is not an integer")
+        p.append(fp)
+        q.append(Fraction(Qi, d))
+        s.append(s_i)
+    r0 = central.theta2_turns
+    p0 = r0 + j
+    q0 = r0 + (m - j)
+    r = tuple(gen.theta2_turns for gen in generators)
+    data = LiftedRepData(p0, q0, r0, tuple(p), tuple(q), r, tuple(s))
     _require_valid(pres, data, True)
     return data
 
@@ -393,12 +450,6 @@ def _unit_fraction(v) -> Fraction:
     if not 0 <= f < 1:
         raise ValueError(f"rotation numbers must lie in [0, 1), got {f}")
     return f
-
-
-def _lift(k) -> int:
-    if not isinstance(k, numbers.Integral):
-        raise TypeError(f"central lifts must be integers, got {k!r}")
-    return int(k)
 
 
 @dataclass(frozen=True)
@@ -415,7 +466,7 @@ class ClassTarget:
             self, "fractions", tuple(tuple(_unit_fraction(f) for f in tri) for tri in self.fractions)
         )
         object.__setattr__(self, "central_fraction", _unit_fraction(self.central_fraction))
-        object.__setattr__(self, "central_lifts", tuple(_lift(k) for k in self.central_lifts))
+        object.__setattr__(self, "central_lifts", _integers(self.central_lifts, "central lifts"))
 
 
 def target_from_angles(generators, central: CentralAngles) -> ClassTarget:

@@ -1,6 +1,9 @@
 """Exact invariants of diagonal representations of Seifert homology spheres."""
 
 import ast
+import dataclasses
+import math
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -41,7 +44,7 @@ from csu21.jsonio import (
     encode_presentation,
     encode_rep_data,
 )
-from csu21.seifert import _rep_from_draws
+from csu21.seifert import CheckResult, SeifertPresentation, ValidationReport, _rep_from_draws
 from conftest import shift_central_split, shift_generator_lift, swap_pq
 
 F = Fraction
@@ -175,6 +178,28 @@ def test_rep_data_refuses_floats():
         mod_z(0.75)
 
 
+def test_presentation_refuses_non_integral_moduli_and_twists():
+    # int() would truncate the moduli (2.9, 3, 11) to (2, 3, 11).
+    with pytest.raises(TypeError, match="Seifert moduli must be integers"):
+        presentation((2.9, 3, 11))
+    with pytest.raises(TypeError, match="Seifert moduli must be integers"):
+        solve_b((2, F(3), 11))
+    with pytest.raises(TypeError, match="Seifert moduli must be integers"):
+        SeifertPresentation((2.0, 3, 11), (-1, 1, 2))
+    with pytest.raises(TypeError, match="Seifert twists must be integers"):
+        presentation((2, 3, 11), b=(-1.0, 1, 2))
+    with pytest.raises(TypeError, match="Seifert twists must be integers"):
+        SeifertPresentation((2, 3, 11), (-1, F(1), 2))
+
+
+def test_rep_data_refuses_non_integral_twists():
+    # int() would truncate s = (0.7, -0.2, 0) to (0, 0, 0).
+    zeros = (F(0),) * 3
+    for s in ((0.7, -0.2, 0), (0, F(1, 2), 0), (0, 1.0, 0)):
+        with pytest.raises(TypeError, match="twists s_i must be integers"):
+            LiftedRepData(F(0), F(0), F(0), zeros, zeros, zeros, s)
+
+
 def test_class_target_refuses_floats():
     # Fraction(0.1) would hold 3602879701896397/36028797018963968.
     with pytest.raises(TypeError):
@@ -241,22 +266,33 @@ def test_canonical_lift_matches_frozen_case_data():
 
 
 def test_canonical_lift_rejects_inconsistent_angles():
+    # One case per raise site, with its message frozen.
     pres = presentation((2, 3, 11))
-    cases = sigma_2_3_11_fixture()
-    gens = cases[4].generators
-    # central theta1 - 3 theta2 must be an integer
-    with pytest.raises(Unliftable):
-        canonical_lift_data(pres, gens, CentralAngles(F(1, 2), F(0)))
-    # generator theta2 must satisfy its relation against the central lift
-    bad_gen = GeneratorAngles(gens[0].fractions, gens[0].theta1_turns, F(1, 3))
-    with pytest.raises(Unliftable):
-        canonical_lift_data(pres, (bad_gen,) + gens[1:], cases[4].central)
-    # p-slot fraction must make a_i p_i + b_i p_0 an integer
-    bad_frac = GeneratorAngles((F(1, 3), F(0), F(0)), F(0), F(0))
-    with pytest.raises(Unliftable):
-        canonical_lift_data(pres, (bad_frac,) + gens[1:], cases[4].central)
+    case = sigma_2_3_11_fixture()[4]
+    gens, central = case.generators, case.central
+    first = gens[0]
+
+    def message(generator=first, central=central):
+        with pytest.raises(Unliftable) as err:
+            canonical_lift_data(pres, (generator,) + gens[1:], central)
+        return str(err.value)
+
+    assert message(central=CentralAngles(F(1, 2), F(0))) == "central angles need sigma_0-3r_0 in Z, got 1/2"
+    assert message(GeneratorAngles(first.fractions, F(1, 3), F(0))) == (
+        "i=1: a_i*theta1_i+b_i*theta1_0 = 2/3 != 0"
+    )
+    assert message(GeneratorAngles(first.fractions, F(0), F(1, 3))) == "i=1: a_ir_i+b_ir_0 = 2/3 != 0"
+    assert message(GeneratorAngles((F(1, 2), F(1, 2), F(1, 2)), F(0), F(0))) == (
+        "i=1: theta2 lift 0 not congruent to r-fraction 1/2"
+    )
+    assert message(GeneratorAngles((F(1, 2), F(1, 3), F(0)), F(0), F(0))) == (
+        "i=1: forced q_i=-1/2 not congruent to q-fraction 1/3"
+    )
+    assert message(GeneratorAngles((F(1, 3), F(2, 3), F(0)), F(0), F(0))) == (
+        "i=1: a_ip_i+b_ip_0 = 2/3 is not an integer"
+    )
     with pytest.raises(LengthMismatch):
-        canonical_lift_data(pres, gens[:2], cases[4].central)
+        canonical_lift_data(pres, gens[:2], central)
 
 
 def test_fixture_cases_hit_expected_invariants_by_both_routes():
@@ -298,6 +334,23 @@ def test_seifert_imports_only_the_standard_library():
         elif isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or "").split(".")[0])
     assert imported <= set(sys.stdlib_module_names), imported - set(sys.stdlib_module_names)
+
+
+def test_seifert_holds_no_float():
+    # Exact end to end: no float(...) call and no float literal in the exact layer.
+    tree = ast.parse(Path(csu21.seifert.__file__).read_text())
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float"
+    ]
+    literals = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+    ]
+    assert calls == [], f"float() called on lines {calls}"
+    assert literals == [], f"float literals on lines {literals}"
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +442,15 @@ def test_fraction_codec_round_trip():
         decode_fraction(0.5)
 
 
+def test_fraction_encoder_takes_only_exact_values():
+    assert encode_fraction(3) == "3/1"
+    assert encode_fraction(F(-7, 3)) == "-7/3"
+    # Fraction(0.1) would give "3602879701896397/36028797018963968", Fraction(True) "1/1".
+    for value in (0.1, True, 1.0, "1/2"):
+        with pytest.raises(TypeError):
+            encode_fraction(value)
+
+
 def test_presentation_codec_round_trip():
     pres = presentation((2, 3, 11))
     assert decode_presentation(encode_presentation(pres)) == pres
@@ -401,3 +463,154 @@ def test_rep_data_codec_round_trip():
         data = make_random_rep(pres, seed)
         assert decode_rep_data(encode_rep_data(data)) == data
     assert decode_rep_data(encode_rep_data(_case1_data())) == _case1_data()
+
+
+# ---------------------------------------------------------------------------
+# the integer core against the Fraction formulas it replaced
+#
+# ``ref_validate_rep``, ``ref_cs_closed`` and ``ref_cs_pipeline`` are the
+# ``fractions.Fraction`` implementations that the integer numerators
+# replaced, kept verbatim apart from their names: every check result,
+# message and invariant must come out the same.
+
+
+def ref_validate_rep(pres: SeifertPresentation, data: LiftedRepData) -> ValidationReport:
+    """Check every presentation constraint exactly, naming each identity."""
+    n = pres.n
+    for name in ("p", "q", "r", "s"):
+        if len(getattr(data, name)) != n:
+            raise LengthMismatch(f"{name} has {len(getattr(data, name))} entries for {n} generators")
+    checks = []
+
+    def add(name, ok, detail):
+        """``detail`` is a callable, called only when the check fails."""
+        checks.append(CheckResult(name, ok, "" if ok else detail()))
+
+    dq, dr = data.p0 - data.q0, data.p0 - data.r0
+    add("p_0-q_0 in Z", dq.denominator == 1, lambda: f"p_0-q_0 = {dq}")
+    add("p_0-r_0 in Z", dr.denominator == 1, lambda: f"p_0-r_0 = {dr}")
+    for i in range(n):
+        ai, bi, si = pres.a[i], pres.b[i], data.s[i]
+        lhs = ai * data.p[i] + bi * data.p0
+        add("a_ip_i+b_ip_0=s_i", lhs == si, lambda: f"i={i + 1}: {lhs} vs s_i={si}")
+        lhs = ai * data.q[i] + bi * data.q0
+        add("a_iq_i+b_iq_0=-s_i", lhs == -si, lambda: f"i={i + 1}: {lhs} vs -s_i={-si}")
+        lhs = ai * data.r[i] + bi * data.r0
+        add("a_ir_i+b_ir_0=0", lhs == 0, lambda: f"i={i + 1}: {lhs} vs 0")
+    ssum = sum(Fraction(data.s[i], pres.a[i]) for i in range(n))
+    total = pres.product
+    psum = sum(data.p, Fraction(0)) + data.p0 / total
+    add("sum s_i/a_i=sum p_i+p_0/a", ssum == psum, lambda: f"{ssum} vs {psum}")
+    qsum = -sum(data.q, Fraction(0)) - data.q0 / total
+    add("sum s_i/a_i=-sum q_i-q_0/a", ssum == qsum, lambda: f"{ssum} vs {qsum}")
+    rsum = -total * sum(data.r, Fraction(0))
+    add("r_0=-a*sum r_i", data.r0 == rsum, lambda: f"r_0={data.r0} vs -a*sum r_i={rsum}")
+    return ValidationReport(tuple(checks))
+
+
+def ref_require_valid(pres, data, validate):
+    if validate:
+        report = ref_validate_rep(pres, data)
+        if not report.ok:
+            failed = ", ".join(f"{c.name} ({c.detail})" for c in report.failures())
+            raise InvalidRepData(f"representation data violates: {failed}")
+
+
+def ref_cs_closed(pres: SeifertPresentation, data: LiftedRepData, validate: bool = True) -> Fraction:
+    """Closed-form invariant (a/2)(P^2 + Q^2 + R^2) mod Z, exactly."""
+    ref_require_valid(pres, data, validate)
+    P = sum(data.p, Fraction(0))
+    Q = sum(data.q, Fraction(0))
+    R = sum(data.r, Fraction(0))
+    return mod_z(Fraction(pres.product, 2) * (P * P + Q * Q + R * R))
+
+
+def ref_cs_pipeline(pres: SeifertPresentation, data: LiftedRepData, validate: bool = True) -> Fraction:
+    """Invariant via the variation pipeline, exactly."""
+    ref_require_valid(pres, data, validate)
+    n = pres.n
+    total = pres.product
+    P = sum(data.p, Fraction(0))
+    Q = sum(data.q, Fraction(0))
+    R = sum(data.r, Fraction(0))
+    s_part = sum(Fraction(data.s[i], pres.a[i]) for i in range(n - 1))
+    s_last = Fraction(data.s[-1], pres.a[-1])
+    cs_a0 = -Fraction(total, 2) * s_part * (-P + Q + 2 * s_last) - Fraction(1, 2) * (
+        data.p0 * P + data.q0 * Q + data.r0 * R
+    )
+    cs_b0 = Fraction(total, 2) * s_last * (-P + Q + 2 * s_part)
+    return mod_z(cs_a0 - cs_b0)
+
+
+MODULI_BOUNDS = (30, 300, 5000)
+CORRUPTIONS = ("s_i", "r_i", "q_0", "r_0", "p_i")
+
+
+def _coprime_moduli(rng, n, hi):
+    """n pairwise coprime moduli in [2, hi], redrawn from scratch when stuck."""
+    a, misses = [], 0
+    while len(a) < n:
+        x = rng.randint(2, hi)
+        if all(math.gcd(x, y) == 1 for y in a):
+            a.append(x)
+        elif (misses := misses + 1) == 50:
+            a, misses = [], 0
+    return tuple(a)
+
+
+def _corrupt(rng, data, how):
+    """Break one constraint of valid data, as the ``exact`` benchmark does, or move a p_i."""
+    i = rng.randrange(len(data.s))
+    if how == "s_i":
+        return dataclasses.replace(data, s=data.s[:i] + (data.s[i] + 1,) + data.s[i + 1:])
+    if how == "r_i":
+        return dataclasses.replace(data, r=data.r[:i] + (data.r[i] + 1,) + data.r[i + 1:])
+    if how == "q_0":
+        return dataclasses.replace(data, q0=data.q0 + F(1, 2))
+    if how == "r_0":
+        return dataclasses.replace(data, r0=data.r0 + 1)
+    step = F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 12))
+    return dataclasses.replace(data, p=data.p[:i] + (data.p[i] + step,) + data.p[i + 1:])
+
+
+def _raised(fn, *args):
+    try:
+        return fn(*args)
+    except InvalidRepData as exc:
+        return ("InvalidRepData", str(exc))
+
+
+def _common_denominator(data):
+    return math.lcm(*(f.denominator for f in (data.p0, data.q0, data.r0, *data.p, *data.q, *data.r)))
+
+
+def test_integer_core_matches_the_fraction_formulas():
+    largest_d_at_8 = 0
+    n_sets = 0
+    for seed in range(1000):
+        rng = random.Random(seed)
+        n, hi = 3 + seed % 6, MODULI_BOUNDS[(seed // 6) % 3]
+        pres = presentation(_coprime_moduli(rng, n, hi))
+        den = rng.randint(1, 12)
+        draws = (rng.randint(-3, 3) for _ in range(3))
+        s = tuple(rng.randint(-20, 20) for _ in range(n))
+        valid = _rep_from_draws(pres, F(rng.randrange(den), den), *draws, s)
+        broken = _corrupt(rng, valid, CORRUPTIONS[seed % len(CORRUPTIONS)])
+        for data in (valid, broken):
+            n_sets += 1
+            got = [(c.name, c.ok, c.detail) for c in validate_rep(pres, data).checks]
+            assert got == [(c.name, c.ok, c.detail) for c in ref_validate_rep(pres, data).checks]
+            # The message the reference raises (None for valid data), and both
+            # reference routes unvalidated, so broken data is compared too.
+            error = _raised(ref_require_valid, pres, data, True)
+            closed, pipeline = ref_cs_closed(pres, data, False), ref_cs_pipeline(pres, data, False)
+            assert _raised(cs_closed, pres, data) == (error or closed)
+            assert _raised(cs_pipeline, pres, data) == (error or pipeline)
+            assert cs_closed(pres, data, False) == closed
+            assert cs_pipeline(pres, data, False) == pipeline
+        assert validate_rep(pres, valid).ok and not validate_rep(pres, broken).ok
+        assert cs_closed(pres, valid) == cs_pipeline(pres, valid)
+        if n == 8:
+            largest_d_at_8 = max(largest_d_at_8, _common_denominator(valid))
+    assert n_sets == 2000
+    assert largest_d_at_8 > 10**25
