@@ -171,13 +171,14 @@ def cmd_variation(args):
         return _fail(2, {"family": path.family}, [
             f"variation is not finite: closed {closed!r}, quadrature {quad!r}"
         ])
+    grid = path.sample_grid()  # a sampled path integrates on its own grid, not on n panels
     return _ok(
         {
             "family": path.family,
             "closed": closed,
             "quadrature": quad,
             "difference": difference,
-            "n": n,
+            "n": n if grid is None else len(grid) - 1,
         }
     )
 

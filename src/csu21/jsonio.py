@@ -29,7 +29,10 @@ from .ug21 import GElement
 from .variation import ConnectionPath, LinearParam, PolyParam, SampledParam
 
 
-MAX_PANELS = 2**16  # largest quadrature panel count a document may ask for
+# Largest quadrature panel count a document may ask for.  The quadrature
+# holds the six parameter curves, their derivatives and the density as
+# float arrays of n + 1 points, O(n) memory: at most about 16 MB at the cap.
+MAX_PANELS = 2**16
 
 
 def _require(cond: bool, msg: str, *args) -> None:
@@ -38,9 +41,13 @@ def _require(cond: bool, msg: str, *args) -> None:
         raise ValueError(msg.format(*args))
 
 
+_JSON_NUMBERS = frozenset((int, float))  # the concrete types json.loads gives numbers; bool is neither
+
+
 def _real(v) -> float:
-    # The message is formatted only on failure: this runs once per number decoded.
-    if isinstance(v, numbers.Real) and not isinstance(v, bool):
+    # The message is formatted only on failure: this runs once per number
+    # decoded.  JSON's own types skip the costly ABC check.
+    if type(v) in _JSON_NUMBERS or (isinstance(v, numbers.Real) and not isinstance(v, bool)):
         try:
             x = float(v)
         except OverflowError:  # an integer beyond the float range
@@ -48,6 +55,24 @@ def _real(v) -> float:
         if math.isfinite(x):
             return x
     raise ValueError(f"expected a finite number, got {v!r}")
+
+
+def _reals(values: list) -> tuple[float, ...]:
+    """``_real`` of every entry.
+
+    A list of JSON ints and floats, the usual case, is checked by concrete
+    type and converted by C-level maps, with no ABC check per number;
+    anything else goes through ``_real`` entry by entry.
+    """
+    if set(map(type, values)) <= _JSON_NUMBERS:
+        try:
+            xs = tuple(map(float, values))
+        except OverflowError:  # an integer beyond the float range: _real reports it
+            pass
+        else:
+            if all(map(math.isfinite, xs)):
+                return xs
+    return tuple(map(_real, values))
 
 
 def encode_real(x) -> float | None:
@@ -213,10 +238,10 @@ def _decode_param_curve(entry):
         return LinearParam(_real(entry["from"]), _real(entry["to"]))
     if kind == "samples":
         _require("values" in entry and isinstance(entry["values"], list), "sampled path needs a 'values' list")
-        return SampledParam(tuple(_real(v) for v in entry["values"]))
+        return SampledParam(_reals(entry["values"]))
     if kind == "poly":
         _require("coeffs" in entry and isinstance(entry["coeffs"], list), "poly path needs a 'coeffs' list")
-        return PolyParam(tuple(_real(v) for v in entry["coeffs"]))
+        return PolyParam(_reals(entry["coeffs"]))
     raise ValueError(f"unknown parameter path kind {kind!r}")
 
 

@@ -20,15 +20,30 @@ trace per family gives closed Wronskian formulas:
 ``cs_delta_closed`` evaluates these formulas, ``cs_delta_quadrature``
 integrates the trace density by composite Simpson's rule in numpy (an
 even point count closes with Cartwright's last-interval rule); agreement
-of the two routes is the module's main cross-check.
+of the two routes is the module's main cross-check.  The routes take
+their weights from different places: the closed one from the formulas
+above (``WRONSKIAN_TERMS``), the quadrature from the direction builder
+``normal_forms.direction_matrix``.  With cx = sum_j x_j E_j and cy =
+sum_j y_j E_j, where E_j is the builder's matrix of the j-th unit
+vector, the density is
+
+    f(t) = (y^T T x' - x^T T y') / (8 pi^2),   T_jk = tr(E_j E_k),
+
+and each family's real 3x3 trace form T is built once, at import.  The
+quadrature therefore works on float arrays of the six parameter curves
+only: its memory is O(n) floats (at most about 16 MB at n = 2**16).
 
 Parameters move along paths of two kinds: polynomial in t (ascending
 coefficients; a linear path between endpoints is the degree-1 case), or
-explicitly sampled on a uniform grid.  On polynomial paths the closed
-route works from the coefficients: it convolves them into the
-Wronskian's coefficients and integrates those exactly.  Sampled paths
-are differentiated by second-order finite differences and both routes
-then run on the shared sample grid, so they see identical data.
+explicitly sampled on a uniform grid.  ``ConnectionPath.curves_on``
+evaluates all of a path's curves and their t-derivatives in one call
+(one Horner loop over the padded coefficient matrix, one finite
+difference along the sample rows); both routes read it.  On polynomial
+paths the closed route works from the coefficients instead: it
+convolves them into the Wronskian's coefficients and integrates those
+exactly.  Sampled paths are differentiated by second-order finite
+differences and both routes then run on the shared sample grid, so they
+see identical data.
 
 The module also evaluates the change of CS under the basic gauge loops
 h(x, y) = diag(e^{2 pi i (mx+ny)}, e^{-2 pi i (mx+ny)}, 1) on an
@@ -49,8 +64,6 @@ from .normal_forms import (
     ELLIPTIC,
     FAMILIES,
     FAMILY_PARAMS,
-    FAMILY_X_PARAMS,
-    FAMILY_Y_PARAMS,
     NormalForm,
     connection_coeffs,
     direction_matrix,
@@ -128,48 +141,47 @@ class ConnectionPath:
             raise ValueError(f"sampled parameters disagree on grid size: {sorted(sizes)}")
         return np.linspace(0.0, 1.0, sizes.pop())
 
-    def _curve(self, name: str) -> ParamCurve:
-        return self.params.get(name, _ZERO)
+    def curves_on(self, t: np.ndarray, names) -> tuple[np.ndarray, np.ndarray]:
+        """Values and t-derivatives of the named curves on the grid ``t``.
 
-    def values_on(self, t: np.ndarray, name: str) -> np.ndarray:
-        c = self._curve(name)
-        if isinstance(c, PolyParam):
-            return _horner(c.coeffs, t)
-        return _samples_on(c, t)
-
-    def derivs_on(self, t: np.ndarray, name: str) -> np.ndarray:
-        c = self._curve(name)
-        if isinstance(c, PolyParam):
-            return _horner(_deriv(c.coeffs), t)
-        return np.gradient(_samples_on(c, t), t[1] - t[0], edge_order=2)
+        Returns two (len(names), len(t)) arrays.  Polynomial curves run
+        through one Horner loop over their zero-padded coefficient matrix;
+        sampled curves, which must lie on ``t``, are differentiated by one
+        second-order ``np.gradient`` along the rows.
+        """
+        curves = [self.params.get(name, _ZERO) for name in names]
+        out = np.empty((2, len(curves), len(t)))  # values, derivatives
+        poly = [i for i, c in enumerate(curves) if isinstance(c, PolyParam)]
+        sampled = [i for i, c in enumerate(curves) if isinstance(c, SampledParam)]
+        if poly:
+            k, width = len(poly), max(len(curves[i].coeffs) for i in poly)
+            coeffs = np.zeros((2 * k, width))  # the curves' rows, then their derivatives'
+            for row, i in enumerate(poly):
+                coeffs[row, : len(curves[i].coeffs)] = curves[i].coeffs
+            coeffs[k:, :-1] = coeffs[:k, 1:] * np.arange(1, width)
+            out[:, poly] = _horner(coeffs, t).reshape(2, k, len(t))
+        if sampled:
+            samples = np.array([curves[i].values for i in sampled], dtype=float)
+            if samples.shape[1] != len(t):
+                raise ValueError("sampled parameter does not match the evaluation grid")
+            out[0, sampled] = samples
+            out[1, sampled] = np.gradient(samples, t[1] - t[0], axis=1, edge_order=2)
+        return out[0], out[1]
 
     def at(self, t: float) -> NormalForm:
         """Normal form at parameter time t (smooth parameter kinds only)."""
-        tt = np.asarray([float(t)])
-        x, y = (
-            tuple(float(self.values_on(tt, name)[0]) for name in names)
-            for names in (FAMILY_X_PARAMS[self.family], FAMILY_Y_PARAMS[self.family])
-        )
-        return NormalForm(self.family, x, y)
+        values, _ = self.curves_on(np.asarray([float(t)]), FAMILY_PARAMS[self.family])
+        v = values[:, 0].tolist()
+        return NormalForm(self.family, tuple(v[:3]), tuple(v[3:]))
 
 
-def _horner(coeffs, t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
-    for c in reversed(coeffs):
-        out = out * t + c
+def _horner(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Rows of ascending coefficients evaluated on t, one (rows, len(t)) array."""
+    out = np.zeros((len(coeffs), len(t)))
+    for column in coeffs.T[::-1]:
+        out *= t
+        out += column[:, None]
     return out
-
-
-def _deriv(coeffs) -> np.ndarray:
-    """Ascending coefficients of the derivative."""
-    return np.arange(1, len(coeffs)) * np.asarray(coeffs[1:], dtype=float)
-
-
-def _samples_on(c: SampledParam, t: np.ndarray) -> np.ndarray:
-    vals = np.asarray(c.values, dtype=float)
-    if len(vals) != len(t):
-        raise ValueError("sampled parameter does not match the evaluation grid")
-    return vals
 
 
 # (x-name, y-name, weight) triples: the closed variation formula of each
@@ -230,28 +242,42 @@ def cs_delta_closed(path: ConnectionPath) -> float:
     grid = path.sample_grid()
     terms = WRONSKIAN_TERMS[path.family]
     if grid is None:
-        return sum(w * _wronskian_integral_exact(path._curve(f), path._curve(g)) for f, g, w in terms)
+        curve = path.params.get
+        return sum(w * _wronskian_integral_exact(curve(f, _ZERO), curve(g, _ZERO)) for f, g, w in terms)
+    names = FAMILY_PARAMS[path.family]
+    values, derivs = path.curves_on(grid, names)
     dens = np.zeros_like(grid)
     for f, g, w in terms:
-        fv, gv = path.values_on(grid, f), path.values_on(grid, g)
-        fd, gd = path.derivs_on(grid, f), path.derivs_on(grid, g)
-        dens += w * (fv * gd - fd * gv)
+        i, j = names.index(f), names.index(g)
+        dens += w * (values[i] * derivs[j] - derivs[i] * values[j])
     return _simpson(dens)
 
 
+def _density_form(family: str) -> np.ndarray:
+    """The 6x6 form W with (x, y) . W (x', y') = y^T T x' - x^T T y'.
+
+    T_jk = tr(E_j E_k) is the family's real trace form, E_j the direction
+    builder's matrix of the j-th unit vector.
+    """
+    e = direction_matrix(family, np.eye(3))
+    trace_form = np.einsum("jab,kba->jk", e, e).real
+    zero = np.zeros((3, 3))
+    return np.block([[zero, -trace_form], [trace_form, zero]])
+
+
+# Built once, at import, from the direction builder.
+DENSITY_FORMS = {family: _density_form(family) for family in FAMILIES}
+
+
 def cs_integrand(path: ConnectionPath, t: np.ndarray) -> np.ndarray:
-    """Trace density tr(cy cx' - cx cy') / (8 pi^2) on a time grid."""
-    fam = path.family
-    xs = [path.values_on(t, name) for name in FAMILY_X_PARAMS[fam]]
-    ys = [path.values_on(t, name) for name in FAMILY_Y_PARAMS[fam]]
-    dxs = [path.derivs_on(t, name) for name in FAMILY_X_PARAMS[fam]]
-    dys = [path.derivs_on(t, name) for name in FAMILY_Y_PARAMS[fam]]
-    cx = direction_matrix(fam, xs)
-    cy = direction_matrix(fam, ys)
-    dcx = direction_matrix(fam, dxs)  # the builder is linear, so this is cx'
-    dcy = direction_matrix(fam, dys)
-    tr = np.einsum("...ij,...ji->...", cy, dcx) - np.einsum("...ij,...ji->...", cx, dcy)
-    return np.real(tr) / EIGHT_PI_SQ
+    """Trace density tr(cy cx' - cx cy') / (8 pi^2) on a time grid.
+
+    The coefficient matrices are linear in the parameters, so the trace
+    is y^T T x' - x^T T y' in the family's trace form T (``DENSITY_FORMS``).
+    """
+    values, derivs = path.curves_on(t, FAMILY_PARAMS[path.family])
+    # einsum, not a matmul: no BLAS call, so no BLAS buffers made resident.
+    return np.einsum("jn,jk,kn->n", values, DENSITY_FORMS[path.family], derivs) / EIGHT_PI_SQ
 
 
 def cs_delta_quadrature(path: ConnectionPath, n: int = 256) -> float:
@@ -259,7 +285,8 @@ def cs_delta_quadrature(path: ConnectionPath, n: int = 256) -> float:
 
     ``n`` (even, >= 2) is the panel count for smooth parameter paths;
     paths with sampled parameters integrate on their own grid instead.
-    The grid's arrays grow with n, so documents read by
+    The float arrays of the curves and the density grow linearly with n
+    (at most about 16 MB at n = 2**16), so documents read by
     ``jsonio.decode_path`` (the ``variation`` command) may ask for at most
     ``jsonio.MAX_PANELS`` = 2**16 panels.
     """

@@ -10,6 +10,8 @@ import os
 import subprocess
 import sys
 import time
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 import csu21.repfinder
 from csu21 import sigma_2_3_11_fixture
 from csu21.cli import build_parser, main
-from csu21.jsonio import encode_angles, encode_matrix
+from csu21.jsonio import _real, _reals, encode_angles, encode_matrix
 
 CASE5_DATA = {
     "p0": "0/1",
@@ -434,6 +436,96 @@ def test_variation_rejects_non_finite_endpoint(run, endpoint):
     code, out = run(["variation", "--json"], stdin_text=json.dumps(doc))
     assert code == 1
     assert _envelope(out)["status"] == "fail"
+
+
+_BAD_NUMBERS = {
+    "10**400": 10**400,  # an integer beyond the float range
+    "true": True,
+    "string": "1.0",
+    "null": None,
+    "nan": float("nan"),
+    "inf": float("inf"),
+}
+
+
+def _path_with_entry(where, entry):
+    """A parabolic_c1 document with ``entry`` placed at ``where``."""
+    curves = {
+        "from": {"kind": "linear", "from": entry, "to": 1.0},
+        "to": {"kind": "linear", "from": 0.0, "to": entry},
+        "coeffs": {"kind": "poly", "coeffs": [0.0, 1.0, entry]},
+        "values": {"kind": "samples", "values": [0.5] * 40 + [entry] + [0.5] * 24},
+    }
+    return {"family": "parabolic_c1", "params": {"alpha": curves[where], "beta": {"kind": "linear", "from": 1.0, "to": 1.0}}}
+
+
+@pytest.mark.parametrize("where", ["from", "to", "coeffs", "values"])
+@pytest.mark.parametrize("entry", list(_BAD_NUMBERS.values()), ids=list(_BAD_NUMBERS))
+def test_variation_rejects_entries_that_are_not_finite_numbers(run, where, entry):
+    code, out = run(["variation", "--json"], stdin_text=json.dumps(_path_with_entry(where, entry)))
+    assert code == 1
+    env = _envelope(out)
+    assert env["status"] == "fail"
+    assert env["diagnostics"][0].startswith("malformed input: expected a finite number")
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [1, -3.5, 2**70, 10**400, -(10**400), True, False, None, "1", [1.0], float("nan"), float("-inf"),
+     np.float64(0.25), np.int64(7), np.float32("inf"), Fraction(1, 3), Decimal("1.5")],
+    ids=repr,
+)
+def test_list_decoding_follows_the_single_number_rule(entry):
+    # Decoding a whole list must accept and convert exactly what decoding
+    # its entries one by one does.
+    values = [0.5, 2, entry, -1]
+    try:
+        expected = tuple(_real(v) for v in values)
+    except ValueError:
+        with pytest.raises(ValueError, match="expected a finite number"):
+            _reals(values)
+    else:
+        got = _reals(values)
+        assert got == expected
+        assert all(type(x) is float for x in got)
+
+
+def test_variation_accepts_mixed_integer_and_float_lists(run):
+    mixed = {
+        "family": "elliptic",
+        "params": {
+            "alpha1": {"kind": "poly", "coeffs": [0, 1.5, -2]},
+            "beta1": {"kind": "samples", "values": [1, 2.0] * 32 + [1]},
+            "alpha2": {"kind": "linear", "from": -1, "to": 0.5},
+        },
+    }
+    floats = copy.deepcopy(mixed)
+    floats["params"]["alpha1"]["coeffs"] = [0.0, 1.5, -2.0]
+    floats["params"]["beta1"]["values"] = [1.0, 2.0] * 32 + [1.0]
+    floats["params"]["alpha2"].update({"from": -1.0})
+    code, out = run(["variation", "--json"], stdin_text=json.dumps(mixed))
+    assert code == 0
+    code_f, out_f = run(["variation", "--json"], stdin_text=json.dumps(floats))
+    assert code_f == 0
+    assert _envelope(out)["payload"] == _envelope(out_f)["payload"]
+
+
+def test_variation_reports_the_panel_count_it_used(run):
+    # A sampled path integrates on its own grid, whatever "n" says.
+    doc = {
+        "family": "elliptic",
+        "params": {
+            "alpha1": {"kind": "samples", "values": [k / 96 for k in range(97)]},
+            "beta1": {"kind": "linear", "from": 1.0, "to": 1.0},
+        },
+        "n": 8,
+    }
+    code, out = run(["variation", "--json"], stdin_text=json.dumps(doc))
+    assert code == 0
+    assert _envelope(out)["payload"]["n"] == 96
+    del doc["n"]
+    code, out = run(["variation", "--json"], stdin_text=json.dumps(doc))
+    assert _envelope(out)["payload"]["n"] == 96
 
 
 def test_variation_fails_when_the_result_overflows(monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """Closed-formula vs quadrature checks for the CS variation along paths."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,7 @@ from csu21 import (
     gauge_shift_closed,
     mod_z,
 )
-from csu21.normal_forms import FAMILIES, FAMILY_PARAMS, connection_coeffs
+from csu21.normal_forms import FAMILIES, FAMILY_PARAMS, FAMILY_X_PARAMS, FAMILY_Y_PARAMS, connection_coeffs, direction_matrix
 from csu21.variation import _simpson
 
 from conftest import random_normal_form
@@ -217,8 +218,9 @@ def test_integrand_matches_per_family_trace_combination(rng):
     pi2 = math.pi**2
     for family in FAMILIES:
         path = _random_poly_path(rng, family)
-        v = {name: path.values_on(t, name) for name in FAMILY_PARAMS[family]}
-        d = {name: path.derivs_on(t, name) for name in FAMILY_PARAMS[family]}
+        values, derivs = path.curves_on(t, FAMILY_PARAMS[family])
+        v = dict(zip(FAMILY_PARAMS[family], values))
+        d = dict(zip(FAMILY_PARAMS[family], derivs))
 
         def w(f, g):
             return v[f] * d[g] - d[f] * v[g]
@@ -233,6 +235,75 @@ def test_integrand_matches_per_family_trace_combination(rng):
             expected = 8 * pi2 * w("theta1", "tau1") + 4 * pi2 * w("theta2", "tau2")
         got = cs_integrand(path, t)
         assert np.max(np.abs(got - expected / (8 * pi2))) <= 1e-10
+
+
+def _curve_and_derivative(curve, t):
+    """One curve and its t-derivative on t, evaluated on its own."""
+    if isinstance(curve, PolyParam):
+        coeffs = np.asarray(curve.coeffs, dtype=float)
+        return np.polynomial.polynomial.polyval(t, coeffs), np.polynomial.polynomial.polyval(t, np.polynomial.polynomial.polyder(coeffs))
+    values = np.asarray(curve.values, dtype=float)
+    return values, np.gradient(values, t[1] - t[0], edge_order=2)
+
+
+def _integrand_from_matrices(path, t):
+    """tr(cy cx' - cx cy') / (8 pi^2) from direction_matrix stacks, curve by curve."""
+    fam = path.family
+
+    def stacks(names):
+        pairs = [_curve_and_derivative(path.params.get(name, PolyParam((0.0,))), t) for name in names]
+        return direction_matrix(fam, [v for v, _ in pairs]), direction_matrix(fam, [d for _, d in pairs])
+
+    cx, dcx = stacks(FAMILY_X_PARAMS[fam])
+    cy, dcy = stacks(FAMILY_Y_PARAMS[fam])
+    tr = np.einsum("...ij,...ji->...", cy, dcx) - np.einsum("...ij,...ji->...", cx, dcy)
+    return np.real(tr) / (8.0 * math.pi**2)
+
+
+@pytest.mark.parametrize("kind", ["poly", "samples"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_integrand_matches_the_trace_of_the_direction_matrices(rng, family, kind):
+    # The trace form must reproduce the matrix trace at random times
+    # (polynomial curves) and on random sample grids, with curves of
+    # mixed degree and some parameters left at zero.
+    for _ in range(10):
+        names = [name for name in FAMILY_PARAMS[family] if rng.random() < 0.85]
+        if kind == "poly":
+            t = np.sort(rng.uniform(0.0, 1.0, 23))
+            params = {name: PolyParam(tuple(rng.uniform(-2.0, 2.0, int(rng.integers(1, 6))))) for name in names}
+        else:
+            t = np.linspace(0.0, 1.0, int(rng.integers(33, 80)))
+            params = {name: SampledParam(tuple(rng.uniform(-2.0, 2.0, len(t)))) for name in names}
+        path = ConnectionPath(family, params)
+        reference = _integrand_from_matrices(path, t)
+        got = cs_integrand(path, t)
+        assert got.shape == t.shape
+        assert np.max(np.abs(got - reference)) <= 1e-12 * max(1.0, np.max(np.abs(reference)))
+
+
+@pytest.mark.parametrize("kind", ["poly", "samples"])
+def test_quadrature_memory_at_the_panel_cap(kind):
+    # 2**16 panels, the most a document may ask for, or 65537 samples:
+    # the quadrature holds float arrays of the curves only, not 3x3
+    # complex stacks, and peaks under 20 MB.
+    family = "parabolic_c1"
+    coeffs = {name: (0.25 * k - 0.5, 1.0 - 0.125 * k, 0.5, -0.25 * k) for k, name in enumerate(FAMILY_PARAMS[family])}
+    if kind == "poly":
+        path = ConnectionPath(family, {name: PolyParam(c) for name, c in coeffs.items()})
+    else:
+        t = np.linspace(0.0, 1.0, 2**16 + 1)
+        path = ConnectionPath(
+            family, {name: SampledParam(tuple(np.polynomial.polynomial.polyval(t, c).tolist())) for name, c in coeffs.items()}
+        )
+    tracemalloc.start()
+    try:
+        quad = cs_delta_quadrature(path, 2**16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6
+    closed = cs_delta_closed(path)
+    assert abs(quad - closed) <= 1e-9 * abs(closed)
 
 
 # ---------------------------------------------------------------------------
