@@ -46,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from . import jsonio
-from .repfinder import CONVERGED_RESIDUAL, find_representation
+from .repfinder import NotASolution, extract_lift_data, find_representation
 from .seifert import (
     burns_epstein,
     canonical_lift_data,
@@ -96,7 +96,7 @@ def _decode_source(doc):
 def cmd_cs_seifert(args):
     pres, (kind, source) = _parse(args, lambda doc: (jsonio.decode_presentation(doc), _decode_source(doc)))
     if kind == "angles":
-        data = canonical_lift_data(pres, *source)  # validates its result
+        data = canonical_lift_data(pres, *source)  # valid by its own checks (see its docstring)
     else:
         data = source
         report = validate_rep(pres, data)
@@ -187,23 +187,18 @@ def cmd_find_reps(args):
     pres, target = _parse(
         args, lambda doc: (jsonio.decode_presentation(doc), jsonio.decode_class_target(doc["target"]))
     )
-    # Pre-flight: the exact lift must exist before any search is worth it,
-    # and it is the data a converged search gives.
-    data = canonical_lift_data(pres, *implied_angles(pres, target))
+    # Pre-flight: the exact lift must exist before any search is worth it.
+    canonical_lift_data(pres, *implied_angles(pres, target))
     result = find_representation(pres, target, seed=args.seed, budget=args.budget)
-    if not result.converged:
-        return _fail(
-            3,
-            {"search": jsonio.encode_search_result(result)},
-            [
-                f"search did not converge: best residual {result.residual:.3e} > {CONVERGED_RESIDUAL:.0e} "
-                f"after budget {args.budget}"
-            ],
-        )
+    try:
+        data, residual = extract_lift_data(pres, result, target)
+    except NotASolution as exc:
+        search = jsonio.encode_search_result(result, exc.residual, False)
+        return _fail(3, {"search": search}, [f"search did not converge: best {exc} after budget {args.budget}"])
     cs = cs_closed(pres, data, validate=False)
     payload = {
         "presentation": jsonio.encode_presentation(pres),
-        "search": jsonio.encode_search_result(result),
+        "search": jsonio.encode_search_result(result, residual, True),
         "data": jsonio.encode_rep_data(data),
         "cs": jsonio.encode_fraction(cs),
         "cs_decimal": float(cs),

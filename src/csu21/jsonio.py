@@ -284,11 +284,12 @@ def encode_class_target(target: ClassTarget) -> dict:
     }
 
 
-def encode_search_result(result: SearchResult) -> dict:
+def encode_search_result(result: SearchResult, residual: float, converged: bool) -> dict:
+    """A search's candidate with the residual and verdict of ``extract_lift_data``."""
     return {
         "matrices": [encode_matrix(m) for m in result.matrices],
-        "residual": float(result.residual),
+        "residual": float(residual),
         "seed": int(result.seed),
         "iterations": int(result.iterations),
-        "converged": bool(result.converged),
+        "converged": bool(converged),
     }

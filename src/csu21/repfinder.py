@@ -44,14 +44,16 @@ squared defect reaches the rounding floor ``DEFECT_FLOOR``.  Over seeds
 evaluations on average (worst 47), against 37.3 (worst 828) at scale
 0.8 with no floor, and the worst full residual is 3.2e-24.
 
-``relation_residual`` scores a candidate by the full contract: squared
-Frobenius deviations of all relations plus a spectral penalty matching
-eigenphases to the target rotation numbers over all assignments.  It is
-the one acceptance rule: a candidate is a solution of a target when its
-residual against that target is at most ``CONVERGED_RESIDUAL``.
-``extract_lift_data`` applies it to the target it is given and then
-assembles the rational lift data whose closed-form invariant can be
-computed exactly.
+``find_representation`` only searches: its result carries the best
+candidate and no verdict.  ``relation_residual`` scores a candidate by
+the full contract: squared Frobenius deviations of all relations plus a
+spectral penalty matching eigenphases to the target rotation numbers
+over all assignments.  ``extract_lift_data`` is the one acceptance rule:
+it lifts the target it is given, scores the candidate against it once,
+and accepts the candidate as a solution only when that residual is at
+most ``CONVERGED_RESIDUAL``; otherwise it raises ``NotASolution``.  It
+returns the rational lift data, whose closed-form invariant can be
+computed exactly, with the residual it scored.
 """
 
 from __future__ import annotations
@@ -95,21 +97,21 @@ DEFECT_FLOOR = 1e-24
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Best candidate of a search.  ``iterations`` counts the evaluations
-    of the search's residual and of its Jacobian, one for each call."""
+    """Best candidate of a search, not yet judged (``extract_lift_data``
+    judges it).  ``iterations`` counts the evaluations of the search's
+    residual and of its Jacobian, one for each call."""
 
     matrices: tuple[np.ndarray, ...]
-    residual: float
     seed: int
     iterations: int
 
-    @property
-    def converged(self) -> bool:
-        """Whether the stored ``residual``, the search's own score, is at
-        most ``CONVERGED_RESIDUAL``.  The acceptance rule is
-        ``extract_lift_data``, which scores ``matrices`` again and does
-        not read this field."""
-        return self.residual <= CONVERGED_RESIDUAL
+
+class NotASolution(ValueError):
+    """A candidate's full residual exceeds ``CONVERGED_RESIDUAL``, or is NaN."""
+
+    def __init__(self, residual: float):
+        super().__init__(f"residual {residual:.3e} > {CONVERGED_RESIDUAL:.0e}")
+        self.residual = residual
 
 
 def _target_diagonals(target: ClassTarget) -> np.ndarray:
@@ -298,9 +300,9 @@ def find_representation(
     Levenberg-Marquardt solve from a seeded random point, which stops at
     the squared defect ``DEFECT_FLOOR``.  No further start is made once
     the squared defect of the long relation is at most 1e-16, and the
-    search returns the best candidate evaluated; ``converged`` reports
-    whether its full residual is at most ``CONVERGED_RESIDUAL``.
-    Identical (seed, budget) reruns return identical results.
+    search returns the best candidate evaluated, unscored:
+    ``extract_lift_data`` decides whether it is a solution.  Identical
+    (seed, budget) reruns return identical results.
     """
     diags = _target_diagonals(target)
     dim = 9 * (pres.n - 1)
@@ -333,26 +335,26 @@ def find_representation(
             _levenberg_marquardt(
                 residual_vector, jacobian, start, max_nfev=400, step=_conjugate, floor=DEFECT_FLOOR
             )
-    residual = relation_residual(pres, best_ms, target)
-    return SearchResult(tuple(best_ms), residual, seed, evals)
+    return SearchResult(tuple(best_ms), seed, evals)
 
 
 def extract_lift_data(
     pres: SeifertPresentation,
     result: SearchResult,
     target: ClassTarget,
-) -> LiftedRepData:
-    """The exact lift data of ``target``, given a solution of it.
+) -> tuple[LiftedRepData, float]:
+    """The exact lift data of ``target`` and the residual of ``result``
+    against it, given a solution of it: the one acceptance rule.
 
-    Raises ``Unliftable`` if the target admits no lift, and otherwise
-    ``ValueError`` unless ``relation_residual`` of ``result.matrices``
-    against ``target`` is at most ``CONVERGED_RESIDUAL``.  The residual
-    sees the central scalar, not its sheet: the lift integers of the
-    target are taken on trust.
+    Lifts first, so ``Unliftable`` wins for a target that admits no
+    lift.  Then scores ``result.matrices`` once by ``relation_residual``
+    and raises ``NotASolution``, carrying that residual, unless it is at
+    most ``CONVERGED_RESIDUAL`` (a NaN residual is refused too).  The
+    residual sees the central scalar, not its sheet: the lift integers
+    of the target are taken on trust.
     """
-    gens, central = implied_angles(pres, target)
-    data = canonical_lift_data(pres, gens, central)
+    data = canonical_lift_data(pres, *implied_angles(pres, target))
     residual = relation_residual(pres, result.matrices, target)
     if not residual <= CONVERGED_RESIDUAL:
-        raise ValueError(f"not a solution of the target: residual {residual:.3e} > {CONVERGED_RESIDUAL:.0e}")
-    return data
+        raise NotASolution(residual)
+    return data, residual

@@ -397,6 +397,26 @@ def canonical_lift_data(
     possible; each p_i is the p-slot fraction as given, q_i is forced by
     sigma_i = p_i + q_i + r_i.  Raises ``Unliftable`` whenever an
     integrality or relation constraint fails, naming the identity.
+
+    Data it returns passes every check of ``validate_rep``, so it is not
+    validated again.  The checks above give a_i sigma_i + b_i sigma_0 =
+    0, a_i r_i + b_i r_0 = 0 and integral s_i = a_i p_i + b_i p_0, and
+    the split gives p_0 = r_0 + j, q_0 = r_0 + m - j with m in Z, so
+    sigma_0 = p_0 + q_0 + r_0.  Then, check by check:
+
+    - p_0 - q_0 = 2j - m and p_0 - r_0 = j are integers;
+    - a_i p_i + b_i p_0 = s_i by the definition of s_i;
+    - a_i q_i + b_i q_0 = a_i sigma_i - a_i p_i - a_i r_i + b_i q_0
+      = -b_i sigma_0 - (s_i - b_i p_0) + b_i r_0 + b_i q_0 = -s_i;
+    - a_i r_i + b_i r_0 = 0 is checked directly;
+    - with sum b_i/a_i = 1/a, sum s_i/a_i = sum p_i + p_0 sum b_i/a_i
+      = sum p_i + p_0/a, and likewise -sum q_i - q_0/a = sum s_i/a_i
+      from a_i q_i + b_i q_0 = -s_i;
+    - r_i = -b_i r_0/a_i, so -a sum r_i = a r_0 sum b_i/a_i = r_0.
+
+    The congruence checks of r_i and q_i against the given fractions
+    enter none of these: they make the data a lift of the given classes.
+    A seeded fuzz test in the suite checks the claim.
     """
     generators = tuple(generators)
     if len(generators) != pres.n:
@@ -440,9 +460,7 @@ def canonical_lift_data(
     p0 = r0 + j
     q0 = r0 + (m - j)
     r = tuple(gen.theta2_turns for gen in generators)
-    data = LiftedRepData(p0, q0, r0, tuple(p), tuple(q), r, tuple(s))
-    _require_valid(pres, data, True)
-    return data
+    return LiftedRepData(p0, q0, r0, tuple(p), tuple(q), r, tuple(s))
 
 
 def _unit_fraction(v) -> Fraction:

@@ -293,11 +293,11 @@ def test_acceptance_8_search_recovers_table():
     worst_residual = 0.0
     for target, e_cs, e_mu in zip(targets, EXPECTED_CS, EXPECTED_MU):
         result = find_representation(pres, target, seed=1, budget=64)
-        worst_residual = max(worst_residual, result.residual)
-        data = extract_lift_data(pres, result, target)
+        data, residual = extract_lift_data(pres, result, target)
+        worst_residual = max(worst_residual, residual)
         cs = cs_closed(pres, data)
         rows_ok.append(
-            result.residual <= 1e-8
+            residual <= 1e-8
             and cs == e_cs
             and burns_epstein(cs) == e_mu
             and not is_reducible(list(result.matrices))

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import csu21.cli
 import csu21.repfinder
 from csu21 import sigma_2_3_11_fixture
 from csu21.cli import build_parser, main
@@ -619,7 +620,11 @@ def test_find_reps_matches_eigenphases_once_per_generator(run, monkeypatch):
     assert stacks == [(3, 3, 3)]
 
 
-def test_find_reps_rejects_unliftable_target(run):
+def test_find_reps_rejects_unliftable_target(run, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("find_representation called for an unliftable target")
+
+    monkeypatch.setattr("csu21.cli.find_representation", no_search)
     doc = {
         "a": [2, 3, 11],
         "target": {
@@ -668,6 +673,37 @@ def test_find_reps_rejects_a_near_miss(run):
     assert env["status"] == "fail"
     assert env["payload"]["search"]["converged"] is False
     assert any("did not converge" in d and "> 1e-12" in d for d in env["diagnostics"])
+
+
+def test_find_reps_accepts_only_through_extract_lift_data(run, monkeypatch):
+    # Case five converges at seed 1; a refusal by the acceptance rule alone
+    # must still fail the job, with the residual the rule scored.
+    def refuse(pres, result, target):
+        raise csu21.repfinder.NotASolution(0.5)
+
+    monkeypatch.setattr("csu21.cli.extract_lift_data", refuse)
+    doc = {"a": [2, 3, 11], "target": CASE5_TARGET}
+    code, out = run(["find-reps", "--seed", "1", "--budget", "16", "--json"], stdin_text=json.dumps(doc))
+    assert code == 3
+    env = _envelope(out)
+    assert env["payload"]["search"]["converged"] is False
+    assert env["payload"]["search"]["residual"] == 0.5
+    assert env["diagnostics"] == ["search did not converge: best residual 5.000e-01 > 1e-12 after budget 16"]
+
+
+@pytest.mark.parametrize("budget, code", [("16", 0), ("1", 3)])
+def test_find_reps_runs_extract_lift_data_once_per_job(run, monkeypatch, budget, code):
+    calls = []
+    extract = csu21.cli.extract_lift_data
+
+    def counting(*args):
+        calls.append(args)
+        return extract(*args)
+
+    monkeypatch.setattr("csu21.cli.extract_lift_data", counting)
+    doc = {"a": [2, 3, 11], "target": CASE5_TARGET}
+    assert run(["find-reps", "--seed", "1", "--budget", budget], stdin_text=json.dumps(doc))[0] == code
+    assert len(calls) == 1
 
 
 def test_find_reps_rejects_malformed_target(run):

@@ -1,6 +1,7 @@
 """Search for representations with prescribed elliptic conjugacy classes."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from csu21 import (
     CentralAngles,
     ClassTarget,
+    NotASolution,
     SearchResult,
     Unliftable,
     algebra_element,
@@ -265,8 +267,8 @@ def test_levenberg_marquardt_never_accepts_a_non_finite_residual():
 def test_search_finds_trivial_target_without_exploring():
     pres = presentation((2, 3, 11))
     result = find_representation(pres, _trivial_target(), seed=0, budget=1)
-    assert result.converged
-    assert result.residual <= 1e-12
+    _, residual = extract_lift_data(pres, result, _trivial_target())
+    assert residual <= 1e-12
     for m in result.matrices:
         assert np.max(np.abs(m - np.eye(3))) <= 1e-12
 
@@ -276,7 +278,7 @@ def test_search_is_deterministic():
     target = sigma_2_3_11_targets()[0]
     r1 = find_representation(pres, target, seed=2, budget=2)
     r2 = find_representation(pres, target, seed=2, budget=2)
-    assert r1.residual == r2.residual
+    assert relation_residual(pres, r1.matrices, target) == relation_residual(pres, r2.matrices, target)
     assert r1.iterations == r2.iterations
     for m1, m2 in zip(r1.matrices, r2.matrices):
         assert np.array_equal(m1, m2)
@@ -291,7 +293,7 @@ def test_search_is_reproducible_within_one_process():
     find_representation(pres, targets[2], seed=1, budget=64)
     again = find_representation(pres, targets[0], seed=1, budget=64)
     assert first.iterations == again.iterations
-    assert first.residual == again.residual
+    assert relation_residual(pres, first.matrices, targets[0]) == relation_residual(pres, again.matrices, targets[0])
     for m1, m2 in zip(first.matrices, again.matrices):
         assert m1.tobytes() == m2.tobytes()
 
@@ -312,8 +314,9 @@ def test_iterations_count_every_residual_evaluation(monkeypatch):
     monkeypatch.setattr("csu21.repfinder._defect_jacobian", counting("jacobian", _defect_jacobian))
     monkeypatch.setattr("csu21.repfinder.lie_exp", counting("lie_exp", lie_exp))
     pres = presentation((2, 3, 11))
-    result = find_representation(pres, sigma_2_3_11_targets()[4], seed=1, budget=64)
-    assert result.converged
+    target = sigma_2_3_11_targets()[4]
+    result = find_representation(pres, target, seed=1, budget=64)
+    extract_lift_data(pres, result, target)  # raises unless the search converged
     assert calls["jacobian"] > 0
     assert result.iterations == calls["defect"] + calls["jacobian"]
     assert 1 <= calls["lie_exp"] < calls["defect"] - 1
@@ -328,7 +331,7 @@ def test_table_searches_stay_within_their_evaluation_count():
     total = 0
     for target in sigma_2_3_11_targets():
         result = find_representation(pres, target, seed=1, budget=64)
-        assert result.converged
+        extract_lift_data(pres, result, target)  # raises unless the search converged
         total += result.iterations
     assert total <= 200
 
@@ -341,9 +344,9 @@ def test_table_searches_converge_within_100_evaluations():
     for seed in range(42):
         for target, case in zip(sigma_2_3_11_targets(), sigma_2_3_11_fixture()):
             result = find_representation(pres, target, seed=seed, budget=64)
-            assert result.converged, (seed, case.label)
+            data, _ = extract_lift_data(pres, result, target)  # raises unless the search converged
             assert not is_reducible(result.matrices), (seed, case.label)
-            assert cs_closed(pres, extract_lift_data(pres, result, target)) == case.expected_cs
+            assert cs_closed(pres, data) == case.expected_cs
             assert result.iterations <= 100, (seed, case.label, result.iterations)
 
 
@@ -354,9 +357,9 @@ def test_search_random_starts_stay_finite(seed):
     pres = presentation((2, 3, 11))
     for target, case in zip(sigma_2_3_11_targets(), sigma_2_3_11_fixture()):
         result = find_representation(pres, target, seed=seed, budget=64)
-        assert result.converged
+        data, _ = extract_lift_data(pres, result, target)  # raises unless the search converged
         assert not is_reducible(list(result.matrices))
-        assert cs_closed(pres, extract_lift_data(pres, result, target)) == case.expected_cs
+        assert cs_closed(pres, data) == case.expected_cs
 
 
 _NEAR_MISS_TARGET = ClassTarget(
@@ -380,8 +383,9 @@ def test_stalled_search_stays_finite_and_unconverged(target, budget):
     # must be rejected quietly.
     pres = presentation((2, 3, 11))
     result = find_representation(pres, target, seed=1, budget=budget)
-    assert np.isfinite(result.residual)
-    assert not result.converged
+    with pytest.raises(NotASolution) as verdict:
+        extract_lift_data(pres, result, target)
+    assert np.isfinite(verdict.value.residual)
     assert all(np.isfinite(m).all() for m in result.matrices)
 
 
@@ -389,9 +393,9 @@ def test_converged_search_solves_case_five():
     pres = presentation((2, 3, 11))
     target = sigma_2_3_11_targets()[4]
     result = find_representation(pres, target, seed=1, budget=16)
-    assert result.converged
-    assert result.residual <= 1e-8
-    data = extract_lift_data(pres, result, target)
+    data, residual = extract_lift_data(pres, result, target)
+    assert residual == relation_residual(pres, result.matrices, target)
+    assert residual <= 1e-8
     assert cs_closed(pres, data) == F(25, 66)
     assert not is_reducible(list(result.matrices))
 
@@ -461,23 +465,26 @@ def test_residual_is_conjugation_insensitive_at_solutions(rng):
 # extraction
 
 
-def test_extract_rescores_instead_of_trusting_the_stored_residual():
-    # The stored residual is the search's own score; extraction scores the
-    # matrices again, so a solution stored with a bad residual is accepted.
-    pres = presentation((2, 3, 11))
-    target = sigma_2_3_11_targets()[4]
-    result = find_representation(pres, target, seed=1, budget=64)
-    stored = SearchResult(result.matrices, residual=1.0, seed=result.seed, iterations=result.iterations)
-    assert not stored.converged
-    assert cs_closed(pres, extract_lift_data(pres, stored, target)) == F(25, 66)
-
-
 def test_extract_detects_eigenphase_mismatch():
     pres = presentation((2, 3, 11))
     target = sigma_2_3_11_targets()[4]
-    fake = SearchResult((np.eye(3),) * 3, residual=0.0, seed=0, iterations=0)
-    with pytest.raises(ValueError):
+    fake = SearchResult((np.eye(3),) * 3, seed=0, iterations=0)
+    with pytest.raises(NotASolution) as verdict:
         extract_lift_data(pres, fake, target)
+    residual = relation_residual(pres, fake.matrices, target)
+    assert verdict.value.residual == residual > 1e-12
+    assert str(verdict.value) == f"residual {residual:.3e} > 1e-12"
+
+
+def test_extract_refuses_a_nan_residual(monkeypatch):
+    # NaN compares false either way; the rule must refuse it, not pass it.
+    pres = presentation((2, 3, 11))
+    target = sigma_2_3_11_targets()[4]
+    result = find_representation(pres, target, seed=1, budget=16)
+    monkeypatch.setattr("csu21.repfinder.relation_residual", lambda *args: math.nan)
+    with pytest.raises(NotASolution) as verdict:
+        extract_lift_data(pres, result, target)
+    assert math.isnan(verdict.value.residual)
 
 
 def test_extract_checks_a_search_against_the_target_it_is_given():
@@ -485,9 +492,9 @@ def test_extract_checks_a_search_against_the_target_it_is_given():
     pres = presentation((2, 3, 11))
     targets = sigma_2_3_11_targets()
     result = find_representation(pres, targets[4], seed=1, budget=16)
-    assert result.converged
+    extract_lift_data(pres, result, targets[4])  # raises unless the search converged
     for other in targets[:4]:
-        with pytest.raises(ValueError):
+        with pytest.raises(NotASolution):
             extract_lift_data(pres, result, other)
 
 
@@ -496,6 +503,6 @@ def test_extract_flags_unliftable_targets():
     # a_1 = 2 cannot power a primitive third root of unity to the identity
     target = ClassTarget(((F(1, 3), F(0), F(0)), ZERO_TRI, ZERO_TRI), F(0), (0, 0))
     mats = tuple(_target_diagonals(target))
-    fake = SearchResult(mats, residual=0.0, seed=0, iterations=0)
+    fake = SearchResult(mats, seed=0, iterations=0)
     with pytest.raises(Unliftable):
         extract_lift_data(pres, fake, target)

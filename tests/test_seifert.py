@@ -614,3 +614,61 @@ def test_integer_core_matches_the_fraction_formulas():
             largest_d_at_8 = max(largest_d_at_8, _common_denominator(valid))
     assert n_sets == 2000
     assert largest_d_at_8 > 10**25
+
+
+
+
+
+def _moved_angles(rng, pres, gens, central):
+    """``gens`` and ``central`` with one field moved by a step t (an
+    integer, a unit fraction, a random fraction or 0), and whether the
+    moved angles still admit a lift.
+
+    The unmoved angles are those of valid data, so they do.  A nonzero t
+    on theta1 or theta2 breaks a relation a_i theta_i + b_i theta_0 = 0
+    (some b_i is nonzero).  On a rotation number, t keeps a lift exactly
+    when it is an integer: the forced q_i moves by -t against p_i, and
+    the q- or r-slot congruence fails for t not in Z.
+    """
+    i = rng.randrange(pres.n)
+    step = rng.choice((0, 1, -1, 2, F(1, 2), F(1, pres.a[i]), F(rng.randint(-5, 5), rng.randint(1, 12))))
+    field = rng.randrange(2 + 5 * pres.n)
+    if field < 2:
+        angles = [central.theta1_turns, central.theta2_turns]
+        angles[field] += step
+        return gens, CentralAngles(*angles), step == 0
+    angles = [gens[i].theta1_turns, gens[i].theta2_turns, *gens[i].fractions]
+    angles[field % 5] += step
+    moved = gens[:i] + (GeneratorAngles(angles[2:], angles[0], angles[1]),) + gens[i + 1:]
+    return moved, central, step == 0 or (field % 5 >= 2 and F(step).denominator == 1)
+
+
+def test_canonical_lift_data_implies_validate_rep():
+    # canonical_lift_data does not validate its result: its own Unliftable
+    # checks imply every identity of validate_rep (proof in its docstring).
+    # Valid data moved one field at a time, 20000 inputs over seven
+    # presentations, must be accepted exactly when the move keeps a lift,
+    # and accepted data must pass validate_rep.
+    moduli = [(2, 3, 5), (2, 3, 7), (2, 3, 11), (2, 5, 7), (3, 4, 5), (2, 3, 5, 7), (3, 5, 7, 11, 13)]
+    accepted, wrong = 0, []
+    for seed in range(2000):
+        rng = random.Random(seed)
+        pres = presentation(moduli[seed % len(moduli)])
+        den = rng.randint(1, 6)
+        draws = (rng.randint(-3, 3) for _ in range(3))
+        base = _rep_from_draws(pres, F(rng.randrange(den), den), *draws, [rng.randint(-10, 10) for _ in range(pres.n)])
+        gens = tuple(GeneratorAngles((p, q, r), p + q + r, r) for p, q, r in zip(base.p, base.q, base.r))
+        central = CentralAngles(base.p0 + base.q0 + base.r0, base.r0)
+        for _ in range(10):
+            moved_gens, moved_central, liftable = _moved_angles(rng, pres, gens, central)
+            try:
+                data = canonical_lift_data(pres, moved_gens, moved_central)
+            except Unliftable:
+                verdict = "unliftable"
+            else:
+                verdict = "valid" if validate_rep(pres, data).ok else "invalid"
+                accepted += 1
+            if verdict != ("valid" if liftable else "unliftable"):
+                wrong.append((seed, verdict, moved_gens, moved_central))
+    assert wrong == []
+    assert 4000 <= accepted <= 16000
