@@ -130,28 +130,6 @@ _EYE = np.eye(3)
 _PERMS = np.array(list(itertools.permutations(range(3))))
 
 
-def _powers(ms: np.ndarray, exponents) -> np.ndarray:
-    """The stack of ms[i] ** exponents[i], by binary powering of the whole stack.
-
-    The bits of each exponent are read from the lowest, and every product
-    is taken in the order of ``np.linalg.matrix_power``, which forms a
-    cube as (m m) m, so the rounding is that of a per-matrix loop.
-    Squares beyond a matrix's own highest bit are not used; if they
-    overflow, nothing of them reaches the result.
-    """
-    e = np.array(exponents)
-    bits = (e[:, None] >> np.arange(int(e.max()).bit_length())) & 1 == 1  # bits[i, k]: bit k of e[i]
-    out = np.where(bits[:, 0, None, None], ms, _EYE)
-    squares = [ms]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, bits.shape[1]):
-            squares.append(squares[-1] @ squares[-1])
-            out = np.where(bits[:, k, None, None], out @ squares[-1], out)
-    if 3 in exponents:
-        out = np.where((e == 3)[:, None, None], squares[1] @ ms, out)
-    return out
-
-
 def _eigenphase_penalty(ms: np.ndarray, target: ClassTarget) -> float:
     """Sum over the stack ms of the best-assignment squared circle distance
     of each generator's eigenphases to its target rotation numbers."""
@@ -174,7 +152,9 @@ def relation_residual(pres: SeifertPresentation, matrices, target: ClassTarget) 
         raise ValueError(f"{pres.n} matrices expected, got {len(ms)}")
     scalar = _central_scalar(target)
     scalars = np.array([scalar ** b for b in pres.b])
-    rel = _powers(ms, pres.a) * scalars[:, None, None] - _EYE
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow scores inf or nan, not a warning
+        powers = np.array([np.linalg.matrix_power(m, ai) for m, ai in zip(ms, pres.a)])
+    rel = powers * scalars[:, None, None] - _EYE
     dev = np.concatenate([rel, [functools.reduce(np.matmul, ms) - _EYE]])
     return float(np.vdot(dev, dev).real) + _eigenphase_penalty(ms, target)
 

@@ -91,19 +91,6 @@ class Unliftable(ValueError):
     """Angle data admits no lift consistent with the relations."""
 
 
-def _ext_gcd(p: int, q: int) -> tuple[int, int, int]:
-    """(g, x, y) with p x + q y = g = gcd(p, q), by the iterative scheme."""
-    old_r, r = p, q
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    return old_r, old_s, old_t
-
-
 def _integers(values, what: str) -> tuple[int, ...]:
     """The values as ints; int() would truncate 2.9 to 2, so non-integers raise."""
     for v in values:
@@ -127,28 +114,21 @@ def _validate_moduli(a: tuple[int, ...]) -> None:
 def solve_b(a) -> tuple[int, ...]:
     """Integers b_i with sum b_i/a_i = 1/(a_1 ... a_n), deterministically.
 
-    Solves sum b_i (a/a_i) = 1 by a running extended Euclid over the
-    cofactors a/a_i, then shifts each b_i (i < n) into the balanced
-    window [-a_i/2, a_i/2), compensating on b_n.  Homology-sphere data
-    makes the cofactors globally coprime, so a solution always exists.
+    Multiplied by a = a_1 ... a_n the identity reads sum b_j (a/a_j) = 1.
+    Modulo a_i every term but the i-th vanishes, since a_i divides a/a_j
+    for j != i, so b_i is the inverse of a/a_i modulo a_i; pairwise
+    coprime moduli make that inverse exist.  Each b_i with i < n is taken
+    in the balanced window [-floor(a_i/2), a_i - floor(a_i/2)), and b_n is
+    then forced by exact division.  One residue class meets the window
+    once, so the solution is unique.
     """
     a = _integers(a, "Seifert moduli")
     _validate_moduli(a)
     total = math.prod(a)
-    cof = [total // ai for ai in a]
-    g = cof[0]
-    coeff = [1]
-    for c in cof[1:]:
-        g, x, y = _ext_gcd(g, c)
-        coeff = [cf * x for cf in coeff] + [y]
-    assert g == 1, "pairwise coprime moduli must have coprime cofactors"
-    b = coeff
-    for i in range(len(a) - 1):
-        lo = -(a[i] // 2)
-        shifted = (b[i] - lo) % a[i] + lo
-        b[-1] += ((b[i] - shifted) // a[i]) * a[-1]
-        b[i] = shifted
-    return tuple(b)
+    b = [(pow(total // ai, -1, ai) + ai // 2) % ai - ai // 2 for ai in a[:-1]]
+    bn, r = divmod(1 - sum(bi * (total // ai) for ai, bi in zip(a, b)), total // a[-1])
+    assert r == 0, "each a_i with i < n divides 1 - sum_{i<n} b_i (a/a_i)"
+    return (*b, bn)
 
 
 @dataclass(frozen=True)

@@ -57,21 +57,9 @@ class CorrectionBranchError(ArithmeticError):
     """
 
 
-class DegenerateSpectrum(RuntimeError):
-    """Eigenvalue computation failed to converge."""
-
-
-def wrap_angle(x: float) -> float:
-    """Reduce an angle to the window (-pi, pi]."""
-    y = math.fmod(x + math.pi, 2.0 * math.pi)
-    if y < 0.0:
-        y += 2.0 * math.pi
-    return y - math.pi
-
-
 def angle_dist(x: float, y: float) -> float:
     """Distance between two angles modulo 2pi."""
-    return abs(wrap_angle(x - y))
+    return abs(math.remainder(x - y, 2.0 * math.pi))
 
 
 def check_u21(m: np.ndarray) -> float:
@@ -273,13 +261,6 @@ class IsometryType(enum.Enum):
     LOXODROMIC = "loxodromic"
 
 
-def _eigvals(m: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.eigvals(np.asarray(m, dtype=complex))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - 3x3 eig is robust
-        raise DegenerateSpectrum(str(exc)) from exc
-
-
 def _clusters(lam: list[complex]) -> list[tuple[complex, float, int]]:
     """(center, diameter, multiplicity) per eigenvalue cluster of one matrix.
 
@@ -334,7 +315,7 @@ def classify(m: np.ndarray) -> IsometryType:
     repeated cluster's eigenspace (``_kernel_rank``).
     """
     m = np.asarray(m, dtype=complex)
-    clusters = _clusters(_eigvals(m).tolist())
+    clusters = _clusters(np.linalg.eigvals(m).tolist())
     for center, _, _ in clusters:
         if abs(abs(center) - 1.0) > TOL_CLASSIFY * max(1.0, abs(center)):
             return IsometryType.LOXODROMIC
@@ -355,7 +336,7 @@ def _eigenspaces(ms: np.ndarray) -> list[np.ndarray]:
     center*I (``_kernel_rank``) padded with zero columns.  One batched
     eigvals, one batched 2-norm and one batched SVD serve all of them.
     """
-    clusters = [_clusters(lam) for lam in _eigvals(ms).tolist()]
+    clusters = [_clusters(lam) for lam in np.linalg.eigvals(ms).tolist()]
     mnorms = np.maximum(1.0, np.linalg.norm(ms, 2, axis=(-2, -1)))
     owner = [i for i, cl in enumerate(clusters) for _ in cl]
     centers = np.array([center for cl in clusters for center, _, _ in cl])

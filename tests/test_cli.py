@@ -207,6 +207,22 @@ def test_classify_rejects_nan_matrix(run):
     assert _envelope(out)["diagnostics"][0].startswith("malformed input")
 
 
+def test_classify_reports_a_failed_eigensolve(monkeypatch, capsys):
+    # numpy's LinAlgError is a ValueError, so it is a validation failure.
+    def fail(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)  # the function ug21 calls
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(encode_matrix(np.eye(3)))))
+    code = main(["classify", "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    env = _envelope(captured.out)
+    assert env["status"] == "fail"
+    assert env["diagnostics"] == ["Eigenvalues did not converge"]
+
+
 def test_check_u21_matrix_and_g_element(run):
     code, out = run(["check-u21", "--json"], stdin_text=json.dumps(encode_matrix(np.eye(3))))
     assert code == 0

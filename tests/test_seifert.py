@@ -61,8 +61,21 @@ def test_solve_b_known_triples():
     assert solve_b((2, 3, 11)) == (-1, 1, 2)
 
 
+def _prime_power_moduli(count: int, seed: int = 0) -> list[tuple[int, ...]]:
+    """Seeded pairwise coprime tuples, n = 3..8, of prime powers up to 400**2."""
+    rng = random.Random(seed)
+    primes = [p for p in range(2, 400) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    tuples = []
+    for _ in range(count):
+        ps = rng.sample(primes, rng.randint(3, 8))
+        tuples.append(tuple(p ** rng.randint(1, int(math.log(400**2, p))) for p in ps))
+    return tuples
+
+
 def test_solve_b_satisfies_sum_identity_and_window():
-    for a in PRESENTATIONS + [(2, 3, 5, 7), (3, 5, 7, 11)]:
+    # The identity and the window have exactly one solution, so these
+    # inputs pin solve_b's output, not just its validity.
+    for a in PRESENTATIONS + [(2, 3, 5, 7), (3, 5, 7, 11)] + _prime_power_moduli(200):
         b = solve_b(a)
         total = 1
         for ai in a:
