@@ -12,8 +12,9 @@ Subcommands::
 
 All inputs are JSON read from a file argument or stdin ("-"); all
 outputs go to stdout, human-readable by default, as a structured
-envelope with --json.  Envelopes are strict JSON, with no NaN or
-Infinity: a non-finite membership residual in a fail payload is null.
+envelope with --json.  An envelope is one line of strict JSON, with no
+NaN or Infinity: a non-finite residual in a fail payload is null.  Pipe
+it through ``python -m json.tool`` to read it.
 
 Exit codes:
 
@@ -341,7 +342,7 @@ def main(argv=None) -> int:
         code, status, payload, diagnostics = _fail(2, {}, [str(exc)])
     if args.json:
         doc = {"command": args.command, "status": status, "payload": payload, "diagnostics": diagnostics}
-        print(json.dumps(doc, indent=2, allow_nan=False))
+        print(json.dumps(doc, allow_nan=False))  # no indent: an indent forces the pure-Python encoder
     else:
         print(_render_human(args.command, status, payload, diagnostics))
     return code

@@ -120,10 +120,19 @@ def encode_g_element(g: GElement) -> dict:
 
 
 def decode_fraction(v) -> Fraction:
-    if isinstance(v, numbers.Integral) and not isinstance(v, bool):
+    if not isinstance(v, str):  # a str is never Integral: skip the costly ABC check for it
+        _require(
+            isinstance(v, numbers.Integral) and not isinstance(v, bool),
+            "exact values are 'num/den' strings or integers, got {!r}",
+            v,
+        )
         return Fraction(int(v))
-    _require(isinstance(v, str), "exact values are 'num/den' strings or integers, got {!r}", v)
     try:
+        # The documented form, an optional "-", ASCII digits and an optional
+        # "/digits", is read here; every other string goes to Fraction's parser.
+        num, slash, den = v.partition("/")
+        if v.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         return Fraction(v.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational literal {v!r}: {exc}") from exc
@@ -139,7 +148,12 @@ def encode_fraction(f: Fraction | int) -> str:
 
 
 def _int(v) -> int:
-    _require(isinstance(v, numbers.Integral) and not isinstance(v, bool), "expected an integer, got {!r}", v)
+    # A JSON int, the usual case, skips the costly ABC check.
+    _require(
+        type(v) is int or (isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+        "expected an integer, got {!r}",
+        v,
+    )
     return int(v)
 
 
@@ -285,10 +299,11 @@ def encode_class_target(target: ClassTarget) -> dict:
 
 
 def encode_search_result(result: SearchResult, residual: float, converged: bool) -> dict:
-    """A search's candidate with the residual and verdict of ``extract_lift_data``."""
+    """A search's candidate with the residual and verdict of ``extract_lift_data``;
+    a non-finite residual is null, as in every other fail payload."""
     return {
         "matrices": [encode_matrix(m) for m in result.matrices],
-        "residual": float(residual),
+        "residual": encode_real(residual),
         "seed": int(result.seed),
         "iterations": int(result.iterations),
         "converged": bool(converged),

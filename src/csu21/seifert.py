@@ -37,7 +37,8 @@ with cs = cs(A_0) - cs(B_0) mod Z.  Both routes are exact, and their
 agreement is a standing cross-check.  Every value that enters or leaves
 this module is a ``fractions.Fraction`` (or an int); inside, the checks
 and both routes work on integer numerators over one common denominator
-d, the lcm of the data's denominators, and build a ``Fraction`` only for
+d, the lcm of the data's denominators (``LiftedRepData.numerators``,
+computed once per data object), and build a ``Fraction`` only for
 a returned value, a stored field or the detail of a failing check.  No
 float appears anywhere: the data, angle and target types and ``mod_z``
 reject floats, and the presentation and the twists s_i reject
@@ -92,11 +93,14 @@ class Unliftable(ValueError):
 
 
 def _integers(values, what: str) -> tuple[int, ...]:
-    """The values as ints; int() would truncate 2.9 to 2, so non-integers raise."""
+    """The values as ints; int() would truncate 2.9 to 2, so non-integers raise.
+
+    A plain int, the usual case, skips the costly ABC check.
+    """
     for v in values:
-        if not isinstance(v, numbers.Integral):
+        if type(v) is not int and not isinstance(v, numbers.Integral):
             raise TypeError(f"{what} must be integers, got {v!r}")
-    return tuple(int(v) for v in values)
+    return tuple(map(int, values))
 
 
 def _validate_moduli(a: tuple[int, ...]) -> None:
@@ -197,6 +201,20 @@ class LiftedRepData:
             object.__setattr__(self, name, tuple(_frac(v) for v in getattr(self, name)))
         object.__setattr__(self, "s", _integers(self.s, "twists s_i"))
 
+    @functools.cached_property
+    def numerators(self):
+        """(d, P0, Q0, R0, P, Q, R): every angle as its numerator over one
+        common denominator d (p_0 = P0/d, p_i = P[i]/d, ...).
+
+        Computed on first use and kept in the instance ``__dict__``; it is
+        not a dataclass field, so ``==`` and ``hash`` do not see it.
+        """
+        d, nums = _over_common_denominator((self.p0, self.q0, self.r0, *self.p, *self.q, *self.r))
+        nums = tuple(nums)
+        i = 3 + len(self.p)
+        j = i + len(self.q)
+        return d, nums[0], nums[1], nums[2], nums[3:i], nums[i:j], nums[j:]
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -228,27 +246,19 @@ def _over_common_denominator(fractions) -> tuple[int, list[int]]:
     return d, [f.numerator * scale[f.denominator] for f in fractions]
 
 
-def _numerators(data: LiftedRepData):
-    """(d, P0, Q0, R0, P, Q, R): every angle of the data as its numerator
-    over one common denominator d (p_0 = P0/d, p_i = P[i]/d, ...)."""
-    d, nums = _over_common_denominator((data.p0, data.q0, data.r0, *data.p, *data.q, *data.r))
-    i = 3 + len(data.p)
-    j = i + len(data.q)
-    return d, nums[0], nums[1], nums[2], nums[3:i], nums[i:j], nums[j:]
-
-
 def validate_rep(pres: SeifertPresentation, data: LiftedRepData) -> ValidationReport:
     """Check every presentation constraint exactly, naming each identity.
 
-    Each identity is tested on the integer numerators of ``_numerators``,
-    multiplied through by d (and by a for the sums); a failing check's
-    detail shows both sides as the reduced fractions.
+    Each identity is tested on the integer numerators of
+    ``LiftedRepData.numerators``, multiplied through by d (and by a for the
+    sums); a failing check's detail shows both sides as the reduced
+    fractions.
     """
     n = pres.n
     for name in ("p", "q", "r", "s"):
         if len(getattr(data, name)) != n:
             raise LengthMismatch(f"{name} has {len(getattr(data, name))} entries for {n} generators")
-    d, P0, Q0, R0, P, Q, R = _numerators(data)
+    d, P0, Q0, R0, P, Q, R = data.numerators
     checks = []
 
     def add(name, ok, detail):
@@ -299,7 +309,7 @@ def cs_closed(pres: SeifertPresentation, data: LiftedRepData, validate: bool = T
     a (P'^2 + Q'^2 + R'^2) / (2 d^2) on the numerator sums P', Q', R'.
     """
     _require_valid(pres, data, validate)
-    d, _, _, _, P, Q, R = _numerators(data)
+    d, _, _, _, P, Q, R = data.numerators
     P, Q, R = sum(P), sum(Q), sum(R)
     den = 2 * d * d
     return Fraction(pres.product * (P * P + Q * Q + R * R) % den, den)  # mod Z
@@ -314,11 +324,11 @@ def cs_pipeline(pres: SeifertPresentation, data: LiftedRepData, validate: bool =
     Agrees with ``cs_closed`` mod Z for all valid data.
 
     Both terms are numerators over 2 a d^2: S' = Sp/a and s_n/a_n = Sl/a,
-    the angles are numerators over d as in ``_numerators``.
+    the angles are numerators over d as in ``LiftedRepData.numerators``.
     """
     _require_valid(pres, data, validate)
     total = pres.product
-    d, P0, Q0, R0, P, Q, R = _numerators(data)
+    d, P0, Q0, R0, P, Q, R = data.numerators
     P, Q, R = sum(P), sum(Q), sum(R)
     Sp = sum(si * (total // ai) for ai, si in zip(pres.a[:-1], data.s[:-1]))
     Sl = data.s[-1] * (total // pres.a[-1])

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import csu21.cli
 import csu21.repfinder
+import csu21.seifert
 from csu21 import sigma_2_3_11_fixture
 from csu21.cli import build_parser, main
 from csu21.jsonio import _real, _reals, encode_angles, encode_matrix
@@ -121,6 +122,28 @@ def test_cs_seifert_from_angle_data(run):
     assert payload["cs"] == "13/66"
     assert payload["burns_epstein"] == "53/66"
 
+
+
+@pytest.mark.parametrize("source, passes", [("data", 1), ("angles", 2)])
+def test_cs_seifert_takes_the_numerators_of_its_data_once(run, monkeypatch, source, passes):
+    # validate_rep and both routes share the data's cached numerators; an
+    # angles document adds canonical_lift_data's own pass over the angles.
+    case = sigma_2_3_11_fixture()[4]
+    doc = {"a": [2, 3, 11], "data": CASE5_DATA}
+    if source == "angles":
+        doc = {"a": [2, 3, 11], "angles": encode_angles(case.generators, case.central)}
+    calls = []
+    common = csu21.seifert._over_common_denominator
+
+    def counting(fractions):
+        calls.append(fractions)
+        return common(fractions)
+
+    monkeypatch.setattr("csu21.seifert._over_common_denominator", counting)
+    code, out = run(["cs-seifert", "--json"], stdin_text=json.dumps(doc))
+    assert code == 0
+    assert _envelope(out)["payload"]["cs"] == "25/66"
+    assert len(calls) == passes
 
 def test_cs_seifert_round_trips_its_own_payload(run):
     doc = {"a": [2, 3, 11], "data": CASE5_DATA}
@@ -707,6 +730,26 @@ def test_find_reps_accepts_only_through_extract_lift_data(run, monkeypatch):
     assert env["diagnostics"] == ["search did not converge: best residual 5.000e-01 > 1e-12 after budget 16"]
 
 
+
+@pytest.mark.parametrize("residual", [math.nan, math.inf], ids=["nan", "inf"])
+def test_find_reps_reports_a_non_finite_residual_as_null(run, monkeypatch, residual):
+    # A refusal on a residual that is no finite number still gives exit 3
+    # and a strict-JSON envelope, with the residual as null.
+    def refuse(pres, result, target):
+        raise csu21.repfinder.NotASolution(residual)
+
+    monkeypatch.setattr("csu21.cli.extract_lift_data", refuse)
+    doc = json.dumps({"a": [2, 3, 11], "target": CASE5_TARGET})
+    code, out = run(["find-reps", "--seed", "1", "--budget", "1", "--json"], stdin_text=doc)
+    assert code == 3
+    env = json.loads(out, parse_constant=_reject_constant)
+    assert env["payload"]["search"]["residual"] is None
+    assert env["payload"]["search"]["converged"] is False
+    code, out = run(["find-reps", "--seed", "1", "--budget", "1"], stdin_text=doc)
+    assert code == 3
+    assert '"residual": null' in out
+    assert "NaN" not in out and "Infinity" not in out
+
 @pytest.mark.parametrize("budget, code", [("16", 0), ("1", 3)])
 def test_find_reps_runs_extract_lift_data_once_per_job(run, monkeypatch, budget, code):
     calls = []
@@ -849,6 +892,29 @@ def test_mutated_documents_keep_the_cli_contract(command, data):
     assert env["status"] == ("ok" if code == 0 else "fail")
     if code == 0:
         _assert_finite(env["payload"])
+
+
+def test_envelopes_are_one_line_from_the_c_encoder(run, monkeypatch):
+    # An indent (or any option the C encoder lacks) makes json fall back to
+    # its pure-Python encoder, which builds its encoder with _make_iterencode.
+    jobs = [
+        ([command, *(["--seed", "1", "--budget", "16"] if command == "find-reps" else argv)], doc)
+        for command, (argv, docs) in _FUZZ_SEEDS.items()
+        for doc in docs
+    ]
+    texts = [None if doc is None else json.dumps(doc) for _, doc in jobs]
+
+    def pure_python(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", pure_python)
+    with pytest.raises(AssertionError, match="pure-Python"):
+        json.dumps({}, indent=2)
+    for (argv, _), text in zip(jobs, texts):
+        code, out = run([*argv, "--json"], stdin_text=text)
+        assert code == 0, argv
+        assert out.count("\n") == 1 and out.endswith("\n"), argv
+        assert _envelope(out)["status"] == "ok"
 
 
 def test_cli_import_loads_no_scipy():

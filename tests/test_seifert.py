@@ -180,6 +180,19 @@ def test_validate_rep_checks_lengths():
         validate_rep(pres, _case5_data())
 
 
+def test_cached_numerators_leave_equality_and_hash_alone():
+    pres = presentation((2, 3, 5, 7))
+    data = make_random_rep(pres, 3)
+    twin = dataclasses.replace(data)
+    before = hash(data)
+    d, P0, Q0, R0, P, Q, R = data.numerators
+    assert "numerators" in vars(data) and "numerators" not in vars(twin)
+    assert data == twin and hash(data) == before == hash(twin)
+    assert F(P0, d) == data.p0 and F(Q0, d) == data.q0 and F(R0, d) == data.r0
+    assert [F(x, d) for x in (*P, *Q, *R)] == [*data.p, *data.q, *data.r]
+    assert data.numerators is data.numerators
+
+
 def test_rep_data_refuses_floats():
     with pytest.raises(TypeError):
         LiftedRepData(0.5, F(0), F(0), (F(0),) * 3, (F(0),) * 3, (F(0),) * 3, (0, 0, 0))
@@ -453,6 +466,62 @@ def test_fraction_codec_round_trip():
         decode_fraction("1/0")
     with pytest.raises((ValueError, TypeError)):
         decode_fraction(0.5)
+
+
+def _fraction_verdict(parse, s):
+    """("ok", value) or ("error", message) of ``parse(s)``."""
+    try:
+        return "ok", parse(s)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def _assert_decodes_like_fraction(s):
+    # decode_fraction reads "-?digits(/digits)?" itself; its value and its
+    # error text must be those of Fraction's own parser on every string.
+    try:
+        expected = "ok", F(s.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        expected = "error", f"bad rational literal {s!r}: {exc}"
+    got = _fraction_verdict(decode_fraction, s)
+    assert got == expected
+    if got[0] == "ok":
+        assert type(got[1]) is F
+
+
+_FRACTION_LITERALS = [
+    "3/4", "-3/4", "+3/4", " 3/4 ", "3 / 4", "3/-4", "1.5", "1e3", "1_0/3", "٣/٤", "²/3",
+    "3/0", "-0/5", "", "/", "3/", "/4", "-", "--3", "-0/0", "007/010", "3/4/5", "6/-0", "\t-6/4\n",
+    "1" * 5000 + "/3", "-" + "1" * 5000 + "/3", "3/" + "1" * 5000,
+]
+
+
+@pytest.mark.parametrize("s", _FRACTION_LITERALS)
+def test_decode_fraction_matches_fraction_on_fixed_cases(s):
+    _assert_decodes_like_fraction(s)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.from_regex(r"-?[0-9]{1,40}(/[0-9]{1,40})?", fullmatch=True),
+        st.text(alphabet="0123456789-+/ ._eE٣٤²\t", max_size=12),
+        st.text(max_size=8),
+    )
+)
+def test_decode_fraction_matches_fraction(s):
+    _assert_decodes_like_fraction(s)
+
+
+def test_decode_fraction_takes_ints_but_not_bools():
+    for v in (0, -7, 10**30):
+        assert decode_fraction(v) == F(v)
+        assert type(decode_fraction(v)) is F
+    for v in (True, False, 0.5, None, [1, 2]):
+        assert _fraction_verdict(decode_fraction, v) == (
+            "error",
+            f"exact values are 'num/den' strings or integers, got {v!r}",
+        )
 
 
 def test_fraction_encoder_takes_only_exact_values():
