@@ -20,9 +20,10 @@ Exit codes:
 
     0  success
     1  malformed input: anything rejected while reading and decoding the
-       document, including the checks of the constructors the decoders
-       call (coprime moduli, family parameters, rotation-number range,
-       sample count)
+       document (one nested too deeply for the JSON parser included),
+       including the checks of the constructors the decoders call
+       (integer entries, coprime moduli, family parameters,
+       rotation-number range, sample count)
     2  validation failure: any check after decoding; also argparse's
        usage error for a bad option, such as an option the command does
        not take, a tolerance that is not a finite number > 0, a budget
@@ -61,7 +62,8 @@ from .seifert import (
 from .ug21 import TOL_ANGLE, TOL_GROUP, GElement, check_u21, classify, g_multiply, is_reducible
 from .variation import cs_delta_closed, cs_delta_quadrature
 
-_MALFORMED = (OSError, ValueError, TypeError, KeyError)  # JSONDecodeError is a ValueError
+# JSONDecodeError is a ValueError; json.loads raises RecursionError on a deeply nested document.
+_MALFORMED = (OSError, ValueError, TypeError, KeyError, RecursionError)
 _DOMAIN = (ValueError, TypeError, ArithmeticError, RuntimeError)
 
 
@@ -100,9 +102,9 @@ def cmd_cs_seifert(args):
         data = canonical_lift_data(pres, *source)  # valid by its own checks (see its docstring)
     else:
         data = source
-        report = validate_rep(pres, data)
-        if not report.ok:
-            diags = [f"constraint {c.name} failed: {c.detail}" for c in report.failures()]
+        failed = validate_rep(pres, data)
+        if failed:
+            diags = [f"constraint {name} failed: {detail}" for name, detail in failed]
             return _fail(2, {"data": jsonio.encode_rep_data(data)}, diags)
     cs = cs_closed(pres, data, validate=False)
     pipe = cs_pipeline(pres, data, validate=False)

@@ -1,17 +1,24 @@
 """JSON encoding/decoding for the file formats the CLI speaks.
 
 Conventions: complex numbers are [re, im] pairs, matrices are 3x3
-row-major arrays of pairs, exact rationals are "num/den" strings (bare
-integers also accepted on input), cover elements carry their two angle
-lifts alongside the matrix.  Decoders raise ValueError on anything
-structurally off and on non-finite numbers; domain validation happens in
-the core modules.
+row-major arrays of pairs, cover elements carry their two angle lifts
+alongside the matrix.  An exact rational is a JSON integer or a string
+of the form ``-?[0-9]+(/[0-9]+)?`` in ASCII digits: an optional "-",
+digits and an optional "/digits", with no sign after the slash, no "+",
+no spaces, no decimal point or exponent and no underscores.  It is
+written as "num/den".  A real number is a JSON integer or float, and an
+integer a JSON integer; a bool is neither.
+
+Decoders raise ValueError on anything structurally off and on
+non-finite numbers.  The integer entries of presentations, twists and
+central lifts go unread to the core constructors, which refuse a
+non-integer with TypeError; domain validation happens in the core
+modules.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -45,9 +52,8 @@ _JSON_NUMBERS = frozenset((int, float))  # the concrete types json.loads gives n
 
 
 def _real(v) -> float:
-    # The message is formatted only on failure: this runs once per number
-    # decoded.  JSON's own types skip the costly ABC check.
-    if type(v) in _JSON_NUMBERS or (isinstance(v, numbers.Real) and not isinstance(v, bool)):
+    # The message is formatted only on failure: this runs once per number decoded.
+    if type(v) in _JSON_NUMBERS:
         try:
             x = float(v)
         except OverflowError:  # an integer beyond the float range
@@ -60,9 +66,9 @@ def _real(v) -> float:
 def _reals(values: list) -> tuple[float, ...]:
     """``_real`` of every entry.
 
-    A list of JSON ints and floats, the usual case, is checked by concrete
-    type and converted by C-level maps, with no ABC check per number;
-    anything else goes through ``_real`` entry by entry.
+    A list of finite JSON ints and floats, the usual case, is converted by
+    C-level maps; any other list goes through ``_real`` entry by entry,
+    which names the first bad entry.
     """
     if set(map(type, values)) <= _JSON_NUMBERS:
         try:
@@ -120,21 +126,16 @@ def encode_g_element(g: GElement) -> dict:
 
 
 def decode_fraction(v) -> Fraction:
-    if not isinstance(v, str):  # a str is never Integral: skip the costly ABC check for it
-        _require(
-            isinstance(v, numbers.Integral) and not isinstance(v, bool),
-            "exact values are 'num/den' strings or integers, got {!r}",
-            v,
-        )
-        return Fraction(int(v))
+    """A JSON integer, or a string -?[0-9]+(/[0-9]+)? in ASCII digits, as a Fraction."""
+    if type(v) is not str:
+        _require(type(v) is int, "exact values are 'num/den' strings or integers, got {!r}", v)
+        return Fraction(v)
+    num, slash, den = v.partition("/")
+    if not (v.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash)):
+        raise ValueError(f"bad rational literal {v!r}: not of the form [-]digits[/digits]")
     try:
-        # The documented form, an optional "-", ASCII digits and an optional
-        # "/digits", is read here; every other string goes to Fraction's parser.
-        num, slash, den = v.partition("/")
-        if v.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
-            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-        return Fraction(v.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    except (ValueError, ZeroDivisionError) as exc:  # a zero denominator, or int's digit limit
         raise ValueError(f"bad rational literal {v!r}: {exc}") from exc
 
 
@@ -147,23 +148,13 @@ def encode_fraction(f: Fraction | int) -> str:
     raise TypeError(f"exact values are Fraction or int, got {f!r}")
 
 
-def _int(v) -> int:
-    # A JSON int, the usual case, skips the costly ABC check.
-    _require(
-        type(v) is int or (isinstance(v, numbers.Integral) and not isinstance(v, bool)),
-        "expected an integer, got {!r}",
-        v,
-    )
-    return int(v)
-
-
 def decode_presentation(data) -> SeifertPresentation:
     _require(isinstance(data, dict) and "a" in data, "presentation needs a moduli list 'a'")
     a = data["a"]
     _require(isinstance(a, list), "'a' must be a list of integers")
     b = data.get("b")
     _require(b is None or isinstance(b, list), "'b' must be a list of integers")
-    return presentation([_int(x) for x in a], None if b is None else [_int(x) for x in b])
+    return presentation(a, b)
 
 
 def encode_presentation(pres: SeifertPresentation) -> dict:
@@ -183,7 +174,7 @@ def decode_rep_data(data) -> LiftedRepData:
         tuple(decode_fraction(v) for v in data["p"]),
         tuple(decode_fraction(v) for v in data["q"]),
         tuple(decode_fraction(v) for v in data["r"]),
-        tuple(_int(v) for v in data["s"]),
+        data["s"],
     )
 
 
@@ -265,7 +256,8 @@ def decode_path(data) -> tuple[ConnectionPath, int]:
     params = data.get("params", {})
     _require(isinstance(params, dict), "'params' must be an object")
     curves = {name: _decode_param_curve(entry) for name, entry in params.items()}
-    n = _int(data.get("n", 256))
+    n = data.get("n", 256)
+    _require(type(n) is int, "expected an integer, got {!r}", n)
     # The quadrature grid holds n + 1 points per array: bound its memory.
     _require(n <= MAX_PANELS, "panel count {} exceeds {}", n, MAX_PANELS)
     path = ConnectionPath(data["family"], curves)
@@ -285,7 +277,7 @@ def decode_class_target(data) -> ClassTarget:
     _require(isinstance(c, dict) and {"fraction", "lifts"} <= set(c), "'central' needs 'fraction' and 'lifts'")
     lifts = c["lifts"]
     _require(isinstance(lifts, list) and len(lifts) == 2, "'lifts' must be a pair of integers")
-    return ClassTarget(tuple(fractions), decode_fraction(c["fraction"]), (_int(lifts[0]), _int(lifts[1])))
+    return ClassTarget(tuple(fractions), decode_fraction(c["fraction"]), lifts)
 
 
 def encode_class_target(target: ClassTarget) -> dict:

@@ -40,9 +40,11 @@ and both routes work on integer numerators over one common denominator
 d, the lcm of the data's denominators (``LiftedRepData.numerators``,
 computed once per data object), and build a ``Fraction`` only for
 a returned value, a stored field or the detail of a failing check.  No
-float appears anywhere: the data, angle and target types and ``mod_z``
-reject floats, and the presentation and the twists s_i reject
-non-integral values.
+float appears anywhere.  Each input rule is one type test: an exact
+value of the data, angle and target types and of ``mod_z`` is a
+``Fraction`` or an ``int``, and a modulus, twist, s_i or central lift is
+an ``int``; a bool, a float or a str raises ``TypeError``.  Reading
+text is the job of the JSON boundary (``csu21.jsonio``).
 
 Angle data comes in two forms.  ``GeneratorAngles`` and
 ``CentralAngles`` give the covering angles of a lift in turns: theta1
@@ -70,7 +72,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -93,14 +94,12 @@ class Unliftable(ValueError):
 
 
 def _integers(values, what: str) -> tuple[int, ...]:
-    """The values as ints; int() would truncate 2.9 to 2, so non-integers raise.
-
-    A plain int, the usual case, skips the costly ABC check.
-    """
+    """The values as a tuple; each must be a plain int, not a bool, float or str."""
+    values = tuple(values)
     for v in values:
-        if type(v) is not int and not isinstance(v, numbers.Integral):
+        if type(v) is not int:
             raise TypeError(f"{what} must be integers, got {v!r}")
-    return tuple(map(int, values))
+    return values
 
 
 def _validate_moduli(a: tuple[int, ...]) -> None:
@@ -164,16 +163,17 @@ class SeifertPresentation:
 
 def presentation(a, b=None) -> SeifertPresentation:
     """Presentation with the given moduli; b solved canonically if omitted."""
-    a = _integers(a, "Seifert moduli")
-    return SeifertPresentation(a, tuple(b) if b is not None else solve_b(a))
+    a = tuple(a)
+    return SeifertPresentation(a, solve_b(a) if b is None else b)
 
 
 def _frac(v) -> Fraction:
+    """The exact value v; only a Fraction or a plain int is one (not a bool, float or str)."""
     if type(v) is Fraction:
         return v
-    if isinstance(v, float):
-        raise TypeError("this module is exact; pass Fraction/int, not float")
-    return Fraction(v)
+    if type(v) is int:
+        return Fraction(v)
+    raise TypeError(f"this module is exact; pass a Fraction or an int, got {v!r}")
 
 
 def mod_z(value) -> Fraction:
@@ -216,28 +216,6 @@ class LiftedRepData:
         return d, nums[0], nums[1], nums[2], nums[3:i], nums[i:j], nums[j:]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """One named identity of ``validate_rep``; ``detail`` shows the two
-    sides when the check fails and is "" when it passes."""
-
-    name: str
-    ok: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def failures(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if not c.ok)
-
-
 def _over_common_denominator(fractions) -> tuple[int, list[int]]:
     """(d, numerators): d is the lcm of the denominators, each fraction numerator/d."""
     dens = set(f.denominator for f in fractions)
@@ -246,12 +224,13 @@ def _over_common_denominator(fractions) -> tuple[int, list[int]]:
     return d, [f.numerator * scale[f.denominator] for f in fractions]
 
 
-def validate_rep(pres: SeifertPresentation, data: LiftedRepData) -> ValidationReport:
-    """Check every presentation constraint exactly, naming each identity.
+def validate_rep(pres: SeifertPresentation, data: LiftedRepData) -> tuple[tuple[str, str], ...]:
+    """Check every presentation constraint exactly; return the failed ones.
 
-    Each identity is tested on the integer numerators of
-    ``LiftedRepData.numerators``, multiplied through by d (and by a for the
-    sums); a failing check's detail shows both sides as the reduced
+    The result holds one (name, detail) pair per failed identity, in a
+    fixed order, and is () for valid data.  Each identity is tested on the
+    integer numerators of ``LiftedRepData.numerators``, multiplied through
+    by d (and by a for the sums); a detail shows both sides as reduced
     fractions.
     """
     n = pres.n
@@ -259,47 +238,40 @@ def validate_rep(pres: SeifertPresentation, data: LiftedRepData) -> ValidationRe
         if len(getattr(data, name)) != n:
             raise LengthMismatch(f"{name} has {len(getattr(data, name))} entries for {n} generators")
     d, P0, Q0, R0, P, Q, R = data.numerators
-    checks = []
-
-    def add(name, ok, detail):
-        """``detail`` is a callable, called only when the check fails."""
-        checks.append(CheckResult(name, ok, "" if ok else detail()))
-
-    add("p_0-q_0 in Z", (P0 - Q0) % d == 0, lambda: f"p_0-q_0 = {Fraction(P0 - Q0, d)}")
-    add("p_0-r_0 in Z", (P0 - R0) % d == 0, lambda: f"p_0-r_0 = {Fraction(P0 - R0, d)}")
+    failed = []
+    if (P0 - Q0) % d:
+        failed.append(("p_0-q_0 in Z", f"p_0-q_0 = {Fraction(P0 - Q0, d)}"))
+    if (P0 - R0) % d:
+        failed.append(("p_0-r_0 in Z", f"p_0-r_0 = {Fraction(P0 - R0, d)}"))
     for i, (ai, bi, si, Pi, Qi, Ri) in enumerate(zip(pres.a, pres.b, data.s, P, Q, R), 1):
         lhs = ai * Pi + bi * P0
-        add("a_ip_i+b_ip_0=s_i", lhs == si * d, lambda: f"i={i}: {Fraction(lhs, d)} vs s_i={si}")
+        if lhs != si * d:
+            failed.append(("a_ip_i+b_ip_0=s_i", f"i={i}: {Fraction(lhs, d)} vs s_i={si}"))
         lhs = ai * Qi + bi * Q0
-        add("a_iq_i+b_iq_0=-s_i", lhs == -si * d, lambda: f"i={i}: {Fraction(lhs, d)} vs -s_i={-si}")
+        if lhs != -si * d:
+            failed.append(("a_iq_i+b_iq_0=-s_i", f"i={i}: {Fraction(lhs, d)} vs -s_i={-si}"))
         lhs = ai * Ri + bi * R0
-        add("a_ir_i+b_ir_0=0", lhs == 0, lambda: f"i={i}: {Fraction(lhs, d)} vs 0")
+        if lhs:
+            failed.append(("a_ir_i+b_ir_0=0", f"i={i}: {Fraction(lhs, d)} vs 0"))
     # The sums times a d: sum s_i/a_i = S/a and sum p_i + p_0/a = psum/(a d), and so on.
     total = pres.product
     S = sum(si * (total // ai) for ai, si in zip(pres.a, data.s))
     psum = total * sum(P) + P0
-    add(
-        "sum s_i/a_i=sum p_i+p_0/a",
-        S * d == psum,
-        lambda: f"{Fraction(S, total)} vs {Fraction(psum, total * d)}",
-    )
+    if S * d != psum:
+        failed.append(("sum s_i/a_i=sum p_i+p_0/a", f"{Fraction(S, total)} vs {Fraction(psum, total * d)}"))
     qsum = -total * sum(Q) - Q0
-    add(
-        "sum s_i/a_i=-sum q_i-q_0/a",
-        S * d == qsum,
-        lambda: f"{Fraction(S, total)} vs {Fraction(qsum, total * d)}",
-    )
+    if S * d != qsum:
+        failed.append(("sum s_i/a_i=-sum q_i-q_0/a", f"{Fraction(S, total)} vs {Fraction(qsum, total * d)}"))
     rsum = -total * sum(R)
-    add("r_0=-a*sum r_i", R0 == rsum, lambda: f"r_0={data.r0} vs -a*sum r_i={Fraction(rsum, d)}")
-    return ValidationReport(tuple(checks))
+    if R0 != rsum:
+        failed.append(("r_0=-a*sum r_i", f"r_0={data.r0} vs -a*sum r_i={Fraction(rsum, d)}"))
+    return tuple(failed)
 
 
 def _require_valid(pres, data, validate):
-    if validate:
-        report = validate_rep(pres, data)
-        if not report.ok:
-            failed = ", ".join(f"{c.name} ({c.detail})" for c in report.failures())
-            raise InvalidRepData(f"representation data violates: {failed}")
+    if validate and (failed := validate_rep(pres, data)):
+        details = ", ".join(f"{name} ({detail})" for name, detail in failed)
+        raise InvalidRepData(f"representation data violates: {details}")
 
 
 def cs_closed(pres: SeifertPresentation, data: LiftedRepData, validate: bool = True) -> Fraction:
@@ -513,7 +485,7 @@ def implied_angles(pres: SeifertPresentation, target: ClassTarget):
 
 def _rep_from_draws(pres: SeifertPresentation, base: Fraction, j: int, k: int, l: int, s) -> LiftedRepData:
     """Deterministic data from raw draws; all-zero draws give trivial data."""
-    s = tuple(int(v) for v in s)
+    s = tuple(s)
     if len(s) != pres.n:
         raise LengthMismatch(f"{pres.n} generators expected, got {len(s)} twists")
     p0 = base + j
@@ -533,7 +505,7 @@ def make_random_rep(pres: SeifertPresentation, seed: int) -> LiftedRepData:
     j, k, l = (rng.randint(-3, 3) for _ in range(3))
     s = tuple(rng.randint(-10, 10) for _ in range(pres.n))
     data = _rep_from_draws(pres, base, j, k, l, s)
-    assert validate_rep(pres, data).ok
+    assert not validate_rep(pres, data)
     return data
 
 

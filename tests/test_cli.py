@@ -182,6 +182,53 @@ def test_cs_seifert_rejects_boolean_presentation_entries(run):
     assert _envelope(out)["diagnostics"][0].startswith("malformed input")
 
 
+@pytest.mark.parametrize("literal", ["+3/4", " 3/4 ", "1.5", "1e3", "1_0/3", "٣/٤", "1e10000000"])
+def test_cs_seifert_rejects_literals_outside_the_grammar(run, literal):
+    # Only -?[0-9]+(/[0-9]+)? is read, and never by Fraction's own parser,
+    # for which "1e10000000" is a ten-million-digit integer.
+    doc = {"a": [2, 3, 11], "data": dict(CASE5_DATA, p0=literal)}
+    start = time.perf_counter()
+    code, out = run(["cs-seifert", "--json"], stdin_text=json.dumps(doc))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert _envelope(out)["diagnostics"] == [
+        f"malformed input: bad rational literal {literal!r}: not of the form [-]digits[/digits]"
+    ]
+
+
+@pytest.mark.parametrize(
+    "command, field, what",
+    [
+        ("cs-seifert", ("a",), "Seifert moduli"),
+        ("cs-seifert", ("b",), "Seifert twists"),
+        ("cs-seifert", ("data", "s"), "twists s_i"),
+        ("find-reps", ("target", "central", "lifts"), "central lifts"),
+    ],
+    ids=["a", "b", "s", "lifts"],
+)
+@pytest.mark.parametrize("bad", [1.0, "1", True], ids=["float", "str", "bool"])
+def test_integer_entries_get_the_constructor_text(run, command, field, what, bad):
+    # The decoders hand integer lists to the core constructors unread; a
+    # bad entry is still malformed input (exit 1).
+    doc = {"a": [2, 3, 11], "b": [-1, 1, 2], "data": copy.deepcopy(CASE5_DATA), "target": copy.deepcopy(CASE5_TARGET)}
+    entries = _at(doc, field)
+    entries[1] = bad
+    code, out = run([command, "--json"], stdin_text=json.dumps(doc))
+    assert code == 1
+    assert _envelope(out)["diagnostics"] == [f"malformed input: {what} must be integers, got {bad!r}"]
+
+
+@pytest.mark.parametrize("command", ["cs-seifert", "find-reps", "variation"])
+def test_deeply_nested_documents_are_malformed(monkeypatch, capsys, command):
+    # json.loads raises RecursionError, a RuntimeError, on such a document.
+    monkeypatch.setattr("sys.stdin", io.StringIO("[" * 200000 + "]" * 200000))
+    code = main([command, "--json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert _envelope(captured.out)["diagnostics"][0].startswith("malformed input: ")
+    assert captured.err == ""
+
+
 def test_cs_seifert_reads_from_file(run, tmp_path):
     path = tmp_path / "rep.json"
     path.write_text(json.dumps({"a": [2, 3, 11], "data": CASE5_DATA}))

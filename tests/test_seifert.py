@@ -4,7 +4,9 @@ import ast
 import dataclasses
 import math
 import random
+import re
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,7 +46,7 @@ from csu21.jsonio import (
     encode_presentation,
     encode_rep_data,
 )
-from csu21.seifert import CheckResult, SeifertPresentation, ValidationReport, _rep_from_draws
+from csu21.seifert import SeifertPresentation, _rep_from_draws
 from conftest import shift_central_split, shift_generator_lift, swap_pq
 
 F = Fraction
@@ -102,6 +104,7 @@ def test_presentation_factory_checks_twists():
     # any valid twist vector is accepted, not just the canonical one
     alt = presentation((2, 3, 11), b=(-1, 1, 2))
     assert alt == pres
+    assert presentation(iter((2, 3, 11))) == pres  # a one-shot iterable is read once
     with pytest.raises(ValueError):
         presentation((2, 3, 11), b=(1, 1, 2))
     with pytest.raises(LengthMismatch):
@@ -144,18 +147,28 @@ def _case1_data():
 
 def test_validate_rep_accepts_valid_data():
     pres = presentation((2, 3, 11))
-    assert validate_rep(pres, _trivial_data(pres)).ok
-    assert validate_rep(pres, _case5_data()).ok
-    assert validate_rep(pres, _case1_data()).ok
+    assert validate_rep(pres, _trivial_data(pres)) == ()
+    assert validate_rep(pres, _case5_data()) == ()
+    assert validate_rep(pres, _case1_data()) == ()
+
+
+def test_validate_rep_builds_nothing_for_valid_data(monkeypatch):
+    # Valid data gets (): no record per check, and no Fraction, which only
+    # the detail of a failed check needs.
+    pres = presentation((2, 3, 5, 7, 11, 13))
+    data = make_random_rep(pres, 5)
+    built = []
+    monkeypatch.setattr(csu21.seifert, "Fraction", lambda *args: built.append(args) or F(*args))
+    assert validate_rep(pres, data) == ()
+    assert built == []
+    assert not hasattr(csu21.seifert, "CheckResult") and not hasattr(csu21.seifert, "ValidationReport")
 
 
 def test_validate_rep_names_the_broken_identity():
     pres = presentation((2, 3, 11))
     good = _case5_data()
     bad = LiftedRepData(good.p0, good.q0, good.r0, good.p, good.q, (F(1, 2), F(0), F(0)), good.s)
-    report = validate_rep(pres, bad)
-    assert not report.ok
-    names = {c.name for c in report.failures()}
+    names = {name for name, _ in validate_rep(pres, bad)}
     assert "a_ir_i+b_ir_0=0" in names
     assert "r_0=-a*sum r_i" in names
     with pytest.raises(InvalidRepData) as err:
@@ -167,11 +180,11 @@ def test_validate_rep_details_only_failures():
     pres = presentation((2, 3, 11))
     good = _case5_data()
     bad = LiftedRepData(good.p0, good.q0, good.r0, good.p, good.q, (F(1, 2), F(0), F(0)), good.s)
-    report = validate_rep(pres, bad)
-    details = {c.name: c.detail for c in report.failures()}
-    assert details == {"a_ir_i+b_ir_0=0": "i=1: 1 vs 0", "r_0=-a*sum r_i": "r_0=0 vs -a*sum r_i=-33"}
-    assert all(c.detail == "" for c in report.checks if c.ok)
-    assert all(c.detail == "" for c in validate_rep(pres, good).checks)
+    assert validate_rep(pres, bad) == (
+        ("a_ir_i+b_ir_0=0", "i=1: 1 vs 0"),
+        ("r_0=-a*sum r_i", "r_0=0 vs -a*sum r_i=-33"),
+    )
+    assert validate_rep(pres, good) == ()
 
 
 def test_validate_rep_checks_lengths():
@@ -233,6 +246,48 @@ def test_class_target_refuses_floats():
     with pytest.raises(TypeError):
         ClassTarget(((F(0), F(0), F(0)),), 0.5, (0, 0))
     assert ClassTarget(((F(1, 10), 0, F(0)),), 0, (0, 0)).fractions == ((F(1, 10), F(0), F(0)),)
+
+
+_ZEROS = (F(0),) * 3
+_NOT_EXACT = [True, "1", 1.0]  # bool, str and float: none is a plain int or a Fraction
+
+
+@pytest.mark.parametrize("bad", _NOT_EXACT, ids=["bool", "str", "float"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: SeifertPresentation((2, 3, v), (-1, 1, 2)),
+        lambda v: SeifertPresentation((2, 3, 11), (-1, v, 2)),
+        lambda v: LiftedRepData(v, F(0), F(0), _ZEROS, _ZEROS, _ZEROS, (0, 0, 0)),
+        lambda v: LiftedRepData(F(0), F(0), F(0), (v, F(0), F(0)), _ZEROS, _ZEROS, (0, 0, 0)),
+        lambda v: LiftedRepData(F(0), F(0), F(0), _ZEROS, _ZEROS, _ZEROS, (0, v, 0)),
+        lambda v: ClassTarget(((v, F(0), F(0)),), F(0), (0, 0)),
+        lambda v: ClassTarget((_ZEROS,), v, (0, 0)),
+        lambda v: ClassTarget((_ZEROS,), F(0), (0, v)),
+        lambda v: GeneratorAngles((F(0), v, F(0)), F(0), F(0)),
+        lambda v: GeneratorAngles(_ZEROS, v, F(0)),
+        lambda v: CentralAngles(F(0), v),
+        mod_z,
+    ],
+    ids=[
+        "moduli", "twists", "p0", "p_i", "s_i", "target-fraction", "central-fraction", "lifts",
+        "generator-fraction", "theta1", "central-theta2", "mod_z",
+    ],
+)
+def test_exact_types_refuse_bools_strings_and_floats(build, bad):
+    # True would read as 1, "1" would go to Fraction's string parser and
+    # 1.0 to its float conversion: each is refused by type instead.
+    with pytest.raises(TypeError):
+        build(bad)
+
+
+def test_exact_types_refuse_an_exponent_literal_at_once():
+    # Fraction("1e10000000") builds a ten-million-digit integer; the
+    # constructors never hand a str to Fraction's parser.
+    start = time.perf_counter()
+    with pytest.raises(TypeError, match="pass a Fraction or an int"):
+        LiftedRepData("1e10000000", F(0), F(0), _ZEROS, _ZEROS, _ZEROS, (0, 0, 0))
+    assert time.perf_counter() - start < 0.1
 
 
 def test_class_target_refuses_non_integer_lifts():
@@ -394,7 +449,7 @@ def test_make_random_rep_is_deterministic_and_valid():
     b = make_random_rep(pres, 17)
     assert a == b
     assert a != make_random_rep(pres, 18)
-    assert validate_rep(pres, a).ok
+    assert validate_rep(pres, a) == ()
 
 
 def test_routes_agree_on_random_data():
@@ -415,7 +470,7 @@ def test_invariant_unchanged_by_generator_lift_choice(k, i, seed):
     pres = presentation((2, 3, 11))
     data = make_random_rep(pres, seed)
     shifted = shift_generator_lift(pres, data, i, k)
-    assert validate_rep(pres, shifted).ok
+    assert validate_rep(pres, shifted) == ()
     assert cs_closed(pres, shifted) == cs_closed(pres, data)
     assert cs_pipeline(pres, shifted) == cs_pipeline(pres, data)
 
@@ -426,7 +481,7 @@ def test_invariant_unchanged_by_central_split_choice(k, seed):
     pres = presentation((3, 4, 5))
     data = make_random_rep(pres, seed)
     shifted = shift_central_split(pres, data, k)
-    assert validate_rep(pres, shifted).ok
+    assert validate_rep(pres, shifted) == ()
     assert cs_closed(pres, shifted) == cs_closed(pres, data)
     assert cs_pipeline(pres, shifted) == cs_pipeline(pres, data)
 
@@ -437,7 +492,7 @@ def test_invariant_unchanged_by_pq_swap(seed):
     pres = presentation((2, 3, 7))
     data = make_random_rep(pres, seed)
     swapped = swap_pq(data)
-    assert validate_rep(pres, swapped).ok
+    assert validate_rep(pres, swapped) == ()
     assert cs_closed(pres, swapped) == cs_closed(pres, data)
 
 
@@ -476,15 +531,27 @@ def _fraction_verdict(parse, s):
         return "error", str(exc)
 
 
-def _assert_decodes_like_fraction(s):
-    # decode_fraction reads "-?digits(/digits)?" itself; its value and its
-    # error text must be those of Fraction's own parser on every string.
+# The documented grammar of an exact literal.  ``[0-9]`` is ASCII only,
+# unlike ``\d``.
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _grammar_verdict(s):
+    """The verdict the grammar gives: a fullmatch of ``_RATIONAL``, read as
+    Fraction(int(num), int(den)).  No string reaches Fraction's own parser,
+    which alone would run for minutes on a draw such as "9e99999999"."""
+    if not _RATIONAL.fullmatch(s):
+        return "error", f"bad rational literal {s!r}: not of the form [-]digits[/digits]"
+    num, _, den = s.partition("/")
     try:
-        expected = "ok", F(s.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        expected = "error", f"bad rational literal {s!r}: {exc}"
+        return "ok", F(int(num), int(den or "1"))
+    except (ValueError, ZeroDivisionError) as exc:  # a zero denominator, or int's digit limit
+        return "error", f"bad rational literal {s!r}: {exc}"
+
+
+def _assert_decodes_by_the_grammar(s):
     got = _fraction_verdict(decode_fraction, s)
-    assert got == expected
+    assert got == _grammar_verdict(s)
     if got[0] == "ok":
         assert type(got[1]) is F
 
@@ -494,11 +561,17 @@ _FRACTION_LITERALS = [
     "3/0", "-0/5", "", "/", "3/", "/4", "-", "--3", "-0/0", "007/010", "3/4/5", "6/-0", "\t-6/4\n",
     "1" * 5000 + "/3", "-" + "1" * 5000 + "/3", "3/" + "1" * 5000,
 ]
+# The only literals above that decode, with their values.  Of the rest,
+# "3/0" and "-0/0" have a zero denominator and the three 5000-digit
+# literals exceed int's digit limit; every other one is outside the grammar.
+_FRACTION_VALUES = {"3/4": F(3, 4), "-3/4": F(-3, 4), "-0/5": F(0), "007/010": F(7, 10)}
 
 
 @pytest.mark.parametrize("s", _FRACTION_LITERALS)
 def test_decode_fraction_matches_fraction_on_fixed_cases(s):
-    _assert_decodes_like_fraction(s)
+    _assert_decodes_by_the_grammar(s)
+    verdict, value = _fraction_verdict(decode_fraction, s)
+    assert (value if verdict == "ok" else None) == _FRACTION_VALUES.get(s)
 
 
 @settings(max_examples=400, deadline=None)
@@ -510,7 +583,7 @@ def test_decode_fraction_matches_fraction_on_fixed_cases(s):
     )
 )
 def test_decode_fraction_matches_fraction(s):
-    _assert_decodes_like_fraction(s)
+    _assert_decodes_by_the_grammar(s)
 
 
 def test_decode_fraction_takes_ints_but_not_bools():
@@ -552,8 +625,32 @@ def test_rep_data_codec_round_trip():
 #
 # ``ref_validate_rep``, ``ref_cs_closed`` and ``ref_cs_pipeline`` are the
 # ``fractions.Fraction`` implementations that the integer numerators
-# replaced, kept verbatim apart from their names: every check result,
-# message and invariant must come out the same.
+# replaced, kept verbatim apart from their names: every failed check,
+# message and invariant must come out the same.  ``CheckResult`` and
+# ``ValidationReport`` are the reference's own record types; the library's
+# ``validate_rep`` returns only the (name, detail) pairs of failed checks.
+
+
+@dataclasses.dataclass(frozen=True)
+class CheckResult:
+    """One named identity of ``validate_rep``; ``detail`` shows the two
+    sides when the check fails and is "" when it passes."""
+
+    name: str
+    ok: bool
+    detail: str
+
+
+@dataclasses.dataclass(frozen=True)
+class ValidationReport:
+    checks: tuple[CheckResult, ...]
+
+    @property
+    def ok(self) -> bool:
+        return all(c.ok for c in self.checks)
+
+    def failures(self) -> tuple[CheckResult, ...]:
+        return tuple(c for c in self.checks if not c.ok)
 
 
 def ref_validate_rep(pres: SeifertPresentation, data: LiftedRepData) -> ValidationReport:
@@ -680,8 +777,8 @@ def test_integer_core_matches_the_fraction_formulas():
         broken = _corrupt(rng, valid, CORRUPTIONS[seed % len(CORRUPTIONS)])
         for data in (valid, broken):
             n_sets += 1
-            got = [(c.name, c.ok, c.detail) for c in validate_rep(pres, data).checks]
-            assert got == [(c.name, c.ok, c.detail) for c in ref_validate_rep(pres, data).checks]
+            failed = tuple((c.name, c.detail) for c in ref_validate_rep(pres, data).failures())
+            assert validate_rep(pres, data) == failed
             # The message the reference raises (None for valid data), and both
             # reference routes unvalidated, so broken data is compared too.
             error = _raised(ref_require_valid, pres, data, True)
@@ -690,7 +787,7 @@ def test_integer_core_matches_the_fraction_formulas():
             assert _raised(cs_pipeline, pres, data) == (error or pipeline)
             assert cs_closed(pres, data, False) == closed
             assert cs_pipeline(pres, data, False) == pipeline
-        assert validate_rep(pres, valid).ok and not validate_rep(pres, broken).ok
+        assert validate_rep(pres, valid) == () and validate_rep(pres, broken) != ()
         assert cs_closed(pres, valid) == cs_pipeline(pres, valid)
         if n == 8:
             largest_d_at_8 = max(largest_d_at_8, _common_denominator(valid))
@@ -748,7 +845,7 @@ def test_canonical_lift_data_implies_validate_rep():
             except Unliftable:
                 verdict = "unliftable"
             else:
-                verdict = "valid" if validate_rep(pres, data).ok else "invalid"
+                verdict = "invalid" if validate_rep(pres, data) else "valid"
                 accepted += 1
             if verdict != ("valid" if liftable else "unliftable"):
                 wrong.append((seed, verdict, moved_gens, moved_central))
