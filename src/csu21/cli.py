@@ -30,6 +30,13 @@ Exit codes:
        below 1 or a negative seed
     3  the search did not converge
 
+A command line is dispatched on its first word.  When that names a
+command, the command's own sub-parser parses the rest, so a usage error
+there names the command in its usage line; only a line that names no
+command (an empty one, ``-h``, an unknown command, an option before the
+command) goes to the top-level parser.  Either way the envelope's
+``command`` is the command's name.
+
 Commands read their document through ``_parse``, the only place that
 turns a decoding failure into ``MalformedInput``; ``main`` is the only
 place that maps an exception to an exit code.  A failure raised as an
@@ -190,11 +197,12 @@ def cmd_find_reps(args):
     pres, target = _parse(
         args, lambda doc: (jsonio.decode_presentation(doc), jsonio.decode_class_target(doc["target"]))
     )
-    # Pre-flight: the exact lift must exist before any search is worth it.
-    canonical_lift_data(pres, *implied_angles(pres, target))
+    # Pre-flight: the exact lift must exist before any search is worth it;
+    # it is also the lift the search's candidate is accepted against.
+    lift = canonical_lift_data(pres, *implied_angles(pres, target))
     result = find_representation(pres, target, seed=args.seed, budget=args.budget)
     try:
-        data, residual = extract_lift_data(pres, result, target)
+        data, residual = extract_lift_data(pres, result, target, lift)
     except NotASolution as exc:
         search = jsonio.encode_search_result(result, exc.residual, False)
         return _fail(3, {"search": search}, [f"search did not converge: best {exc} after budget {args.budget}"])
@@ -293,8 +301,14 @@ def _int_at_least(low: int):
     return parse
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, whose sub-parsers are the commands."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own sub-parser, by name."""
     parser = argparse.ArgumentParser(
         prog="csu21",
         description="Chern-Simons and Burns-Epstein invariants of U(2,1)-cover representations",
@@ -309,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, func, help_, with_input=True, tols=()):
         p = sub.add_parser(name, help=help_, parents=[common, *tols])
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, command=name)
         if with_input:
             p.add_argument("input", nargs="?", default="-", help="input JSON file, or - for stdin")
         return p
@@ -324,12 +338,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_int_at_least(1), default=64, help="number of search starts")
     add("mul", cmd_mul, "multiply two universal-cover elements", tols=[both_tols])
     add("check-u21", cmd_check_u21, "validate a matrix or cover element", tols=[both_tols])
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
+    # A command line that starts with a command is parsed by that command's
+    # own sub-parser; only one that names no command reaches the top level.
+    command = commands.get(argv[0]) if argv else None
+    args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
     if not getattr(args, "func", None):
         parser.print_help()
         return 0

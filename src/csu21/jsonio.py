@@ -30,6 +30,7 @@ from .seifert import (
     GeneratorAngles,
     LiftedRepData,
     SeifertPresentation,
+    _echo,
     presentation,
 )
 from .ug21 import GElement
@@ -44,6 +45,8 @@ MAX_PANELS = 2**16
 
 def _require(cond: bool, msg: str, *args) -> None:
     # ``msg`` is a str.format template, filled from ``args`` only on failure.
+    # A check that echoes an offending input value raises itself, through
+    # ``_echo``, which cuts the value short.
     if not cond:
         raise ValueError(msg.format(*args))
 
@@ -60,7 +63,7 @@ def _real(v) -> float:
             x = math.inf
         if math.isfinite(x):
             return x
-    raise ValueError(f"expected a finite number, got {v!r}")
+    raise ValueError(f"expected a finite number, got {_echo(v)}")
 
 
 def _reals(values: list) -> tuple[float, ...]:
@@ -88,7 +91,8 @@ def encode_real(x) -> float | None:
 
 
 def decode_complex(v) -> complex:
-    _require(isinstance(v, (list, tuple)) and len(v) == 2, "complex entries are [re, im] pairs, got {!r}", v)
+    if not (isinstance(v, (list, tuple)) and len(v) == 2):
+        raise ValueError(f"complex entries are [re, im] pairs, got {_echo(v)}")
     return complex(_real(v[0]), _real(v[1]))
 
 
@@ -109,7 +113,7 @@ def decode_matrix(data) -> np.ndarray:
 def encode_matrix(m) -> list[list[list[float]]]:
     m = np.asarray(m, dtype=complex)
     _require(m.shape == (3, 3), "matrix must be 3x3, got {}", m.shape)
-    return [[encode_complex(m[i, j]) for j in range(3)] for i in range(3)]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def decode_g_element(data) -> GElement:
@@ -128,15 +132,16 @@ def encode_g_element(g: GElement) -> dict:
 def decode_fraction(v) -> Fraction:
     """A JSON integer, or a string -?[0-9]+(/[0-9]+)? in ASCII digits, as a Fraction."""
     if type(v) is not str:
-        _require(type(v) is int, "exact values are 'num/den' strings or integers, got {!r}", v)
+        if type(v) is not int:
+            raise ValueError(f"exact values are 'num/den' strings or integers, got {_echo(v)}")
         return Fraction(v)
     num, slash, den = v.partition("/")
     if not (v.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash)):
-        raise ValueError(f"bad rational literal {v!r}: not of the form [-]digits[/digits]")
+        raise ValueError(f"bad rational literal {_echo(v)}: not of the form [-]digits[/digits]")
     try:
         return Fraction(int(num), int(den)) if slash else Fraction(int(num))
     except (ValueError, ZeroDivisionError) as exc:  # a zero denominator, or int's digit limit
-        raise ValueError(f"bad rational literal {v!r}: {exc}") from exc
+        raise ValueError(f"bad rational literal {_echo(v)}: {exc}") from exc
 
 
 def encode_fraction(f: Fraction | int) -> str:
@@ -247,7 +252,7 @@ def _decode_param_curve(entry):
     if kind == "poly":
         _require("coeffs" in entry and isinstance(entry["coeffs"], list), "poly path needs a 'coeffs' list")
         return PolyParam(_reals(entry["coeffs"]))
-    raise ValueError(f"unknown parameter path kind {kind!r}")
+    raise ValueError(f"unknown parameter path kind {_echo(kind)}")
 
 
 def decode_path(data) -> tuple[ConnectionPath, int]:
@@ -257,7 +262,8 @@ def decode_path(data) -> tuple[ConnectionPath, int]:
     _require(isinstance(params, dict), "'params' must be an object")
     curves = {name: _decode_param_curve(entry) for name, entry in params.items()}
     n = data.get("n", 256)
-    _require(type(n) is int, "expected an integer, got {!r}", n)
+    if type(n) is not int:
+        raise ValueError(f"expected an integer, got {_echo(n)}")
     # The quadrature grid holds n + 1 points per array: bound its memory.
     _require(n <= MAX_PANELS, "panel count {} exceeds {}", n, MAX_PANELS)
     path = ConnectionPath(data["family"], curves)

@@ -49,7 +49,7 @@ candidate and no verdict.  ``relation_residual`` scores a candidate by
 the full contract: squared Frobenius deviations of all relations plus a
 spectral penalty matching eigenphases to the target rotation numbers
 over all assignments.  ``extract_lift_data`` is the one acceptance rule:
-it lifts the target it is given, scores the candidate against it once,
+given the target and its lift, it scores the candidate against them once,
 and accepts the candidate as a solution only when that residual is at
 most ``CONVERGED_RESIDUAL``; otherwise it raises ``NotASolution``.  It
 returns the rational lift data, whose closed-form invariant can be
@@ -65,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seifert import ClassTarget, LiftedRepData, SeifertPresentation, canonical_lift_data, implied_angles
+from .seifert import ClassTarget, LiftedRepData, SeifertPresentation
 from .ug21 import J, algebra_element, lie_exp
 
 # A full residual (``relation_residual``) at most this counts as a
@@ -116,9 +116,10 @@ class NotASolution(ValueError):
 
 def _target_diagonals(target: ClassTarget) -> np.ndarray:
     """The (n, 3, 3) stack of exact target diagonals."""
-    return np.array([
-        np.diag([np.exp(2j * math.pi * float(f)) for f in tri]) for tri in target.fractions
-    ])
+    phases = np.exp(2j * math.pi * np.array([[float(f) for f in tri] for tri in target.fractions]))
+    diags = np.zeros((len(phases), 3, 3), dtype=complex)  # off the diagonal +0.0, as np.diag writes
+    diags[:, [0, 1, 2], [0, 1, 2]] = phases
+    return diags
 
 
 def _central_scalar(target: ClassTarget) -> complex:
@@ -192,28 +193,36 @@ def _conjugate(ms: np.ndarray, h: np.ndarray) -> np.ndarray:
     return _conjugate_by(ms, u)
 
 
-def _defect(ms: np.ndarray) -> np.ndarray:
-    """The real and imaginary parts of x_1 ... x_n - I."""
-    d = functools.reduce(np.matmul, ms) - _EYE
+def _prefix_products(ms: np.ndarray) -> np.ndarray:
+    """The stack q of prefix products, q[j] = x_1 ... x_{j+1}, multiplied left to right."""
+    q = np.empty_like(ms)
+    q[0] = ms[0]
+    for j in range(1, len(ms)):
+        q[j] = q[j - 1] @ ms[j]
+    return q
+
+
+def _defect(q: np.ndarray) -> np.ndarray:
+    """The real and imaginary parts of x_1 ... x_n - I, from the prefix products q."""
+    d = q[-1] - _EYE
     return np.concatenate([d.real.ravel(), d.imag.ravel()])
 
 
-def _defect_jacobian(ms: np.ndarray) -> np.ndarray:
-    """Jacobian of ``_defect(_conjugate(ms, h))`` at h = 0, shape (18, 9 (n - 1)).
+def _defect_jacobian(ms: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Jacobian of ``_defect(_prefix_products(_conjugate(ms, h)))`` at h = 0,
+    shape (18, 9 (n - 1)), given the prefix products q of ms.
 
     Along chart direction E_k of generator i, dx_i = [E_k, x_i], and the
     product moves by P_i [E_k, x_i] S_i, where P_i and S_i are the
     products of the generators before and after x_i.  With Q_j = x_1 ...
-    x_j and T_j = x_{j+1} ... x_n that is Q_{i-1} E_k T_{i-1} - Q_i E_k T_i,
-    and Q E T is linear in E: row-major, vec(Q E T) = (Q kron T^T) vec(E).
+    x_j = q[j - 1] and T_j = x_{j+1} ... x_n that is Q_{i-1} E_k T_{i-1} -
+    Q_i E_k T_i, and Q E T is linear in E: row-major, vec(Q E T) = (Q kron
+    T^T) vec(E).
     """
     n = len(ms)
-    q = np.empty_like(ms)  # q[j] = Q_{j+1}
-    q[0] = ms[0]
     t = np.empty_like(ms)  # t[j] = T_{j+1}
     t[-1] = _EYE
     for j in range(1, n):
-        q[j] = q[j - 1] @ ms[j]
         t[n - 1 - j] = ms[n - j] @ t[n - j]
     tt = t.transpose(0, 2, 1)
     kron = (q[:, :, None, :, None] * tt[:, None, :, None, :]).reshape(-1, 9, 9)
@@ -227,35 +236,39 @@ def _levenberg_marquardt(fun, jac, x, max_nfev: int, step=np.add, floor: float =
     Nielsen's damping rule (Madsen, Nielsen & Tingleff, Methods for
     non-linear least squares problems, 2004, section 3.2).  ``jac(x)`` is
     the Jacobian of h -> fun(step(x, h)) at h = 0; the default step is
-    vector addition.  Stops after ``max_nfev`` calls of ``fun``, once
-    |r|^2 <= ``floor`` (with no Jacobian at that point), when the step h
-    is below 1e-15, or when the gradient J^T r is below 1e-15 in every
-    entry (a zero Jacobian included).  A trial point whose residual is
+    vector addition.  ``jac`` is only called at the point of the latest
+    ``fun`` call, so ``fun`` may leave products there for it.  Stops after
+    ``max_nfev`` calls of ``fun``, once |r|^2 <= ``floor`` (with no
+    Jacobian at that point), when the step h is below 1e-15, or when the
+    gradient J^T r is below 1e-15 in every entry (a zero Jacobian
+    included).  A trial point whose residual is
     not finite is rejected like any step that does not reduce |r|^2, and
     so is a step whose damped normal equations are singular.
     """
     r = fun(x)
+    rr = r @ r
     nfev = 1
     jx = jac(x)
     a, g = jx.T @ jx, jx.T @ r
     mu, nu = 1e-3 * a.diagonal().max(), 2.0
     eye = np.eye(len(g))
-    while nfev < max_nfev and r @ r > floor and np.abs(g).max() > 1e-15:
+    while nfev < max_nfev and rr > floor and np.abs(g).max() > 1e-15:
         try:
             h = np.linalg.solve(a + mu * eye, -g)
         except np.linalg.LinAlgError:  # mu fell below the rounding of a rank-deficient J^T J
             mu *= nu
             nu *= 2.0
             continue
-        if np.linalg.norm(h) <= 1e-15:
+        if math.sqrt(h @ h) <= 1e-15:  # the 2-norm, as np.linalg.norm computes it
             break
         x_new = step(x, h)
         r_new = fun(x_new)
+        rr_new = r_new @ r_new
         nfev += 1
-        rho = (r @ r - r_new @ r_new) / (h @ (mu * h - g))
+        rho = (rr - rr_new) / (h @ (mu * h - g))
         if rho > 0:
-            x, r = x_new, r_new
-            if r @ r <= floor:
+            x, r, rr = x_new, r_new, rr_new
+            if rr <= floor:
                 break
             jx = jac(x)
             a, g = jx.T @ jx, jx.T @ r
@@ -288,11 +301,13 @@ def find_representation(
     dim = 9 * (pres.n - 1)
     evals = 0
     best_val, best_ms = math.inf, None
+    prefix = None  # prefix products of the latest point evaluated, where the Jacobian is asked for
 
     def residual_vector(ms):
-        nonlocal evals, best_val, best_ms
+        nonlocal evals, best_val, best_ms, prefix
         evals += 1
-        r = _defect(ms)
+        prefix = _prefix_products(ms)
+        r = _defect(prefix)
         val = float(r @ r)
         if val < best_val:
             best_val, best_ms = val, ms
@@ -301,7 +316,7 @@ def find_representation(
     def jacobian(ms):
         nonlocal evals
         evals += 1
-        return _defect_jacobian(ms)
+        return _defect_jacobian(ms, prefix)
 
     residual_vector(diags)
     rng = np.random.default_rng(seed)
@@ -322,18 +337,20 @@ def extract_lift_data(
     pres: SeifertPresentation,
     result: SearchResult,
     target: ClassTarget,
+    data: LiftedRepData,
 ) -> tuple[LiftedRepData, float]:
     """The exact lift data of ``target`` and the residual of ``result``
     against it, given a solution of it: the one acceptance rule.
 
-    Lifts first, so ``Unliftable`` wins for a target that admits no
-    lift.  Then scores ``result.matrices`` once by ``relation_residual``
-    and raises ``NotASolution``, carrying that residual, unless it is at
-    most ``CONVERGED_RESIDUAL`` (a NaN residual is refused too).  The
+    ``data`` is the target's lift, ``canonical_lift_data(pres,
+    *implied_angles(pres, target))``, which the caller makes before any
+    search (it raises ``Unliftable`` for a target that admits no lift).
+    Scores ``result.matrices`` once by ``relation_residual`` and raises
+    ``NotASolution``, carrying that residual, unless it is at most
+    ``CONVERGED_RESIDUAL`` (a NaN residual is refused too).  The
     residual sees the central scalar, not its sheet: the lift integers
     of the target are taken on trust.
     """
-    data = canonical_lift_data(pres, *implied_angles(pres, target))
     residual = relation_residual(pres, result.matrices, target)
     if not residual <= CONVERGED_RESIDUAL:
         raise NotASolution(residual)

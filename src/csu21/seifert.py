@@ -93,12 +93,25 @@ class Unliftable(ValueError):
     """Angle data admits no lift consistent with the relations."""
 
 
+def _echo(value) -> str:
+    """``repr(value)`` cut short for a diagnostic: an input's offending
+    entry may be of any size or depth.  A container shows at most six items
+    (a dict four), nested containers show as ``[...]`` and a leaf at most 40
+    characters, so the echo stays within a few hundred characters."""
+    import reprlib  # only a failing input pays for the import
+
+    short = reprlib.Repr()
+    short.maxlevel = 1
+    short.maxstring = short.maxlong = short.maxother = 40
+    return short.repr(value)
+
+
 def _integers(values, what: str) -> tuple[int, ...]:
     """The values as a tuple; each must be a plain int, not a bool, float or str."""
     values = tuple(values)
     for v in values:
         if type(v) is not int:
-            raise TypeError(f"{what} must be integers, got {v!r}")
+            raise TypeError(f"{what} must be integers, got {_echo(v)}")
     return values
 
 
@@ -173,7 +186,7 @@ def _frac(v) -> Fraction:
         return v
     if type(v) is int:
         return Fraction(v)
-    raise TypeError(f"this module is exact; pass a Fraction or an int, got {v!r}")
+    raise TypeError(f"this module is exact; pass a Fraction or an int, got {_echo(v)}")
 
 
 def mod_z(value) -> Fraction:

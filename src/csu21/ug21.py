@@ -328,24 +328,25 @@ def classify(m: np.ndarray) -> IsometryType:
     return IsometryType.ELLIPTIC
 
 
-def _eigenspaces(ms: np.ndarray) -> list[np.ndarray]:
+def _eigenspaces(ms: np.ndarray) -> list[list[np.ndarray]]:
     """The eigenspaces of each matrix of the (k, 3, 3) stack ms, one per eigenvalue cluster.
 
-    Entry i is a (c, 3, 3) stack, one slice per cluster of ms[i], whose
-    columns are an orthonormal basis of the near-kernel of ms[i] -
-    center*I (``_kernel_rank``) padded with zero columns.  One batched
-    eigvals, one batched 2-norm and one batched SVD serve all of them.
+    Entry i lists, per cluster of ms[i], a (3, rank) orthonormal basis of
+    the near-kernel of ms[i] - center*I (``_kernel_rank``): its last rank
+    right singular vectors, a column slice of one batched SVD.  One
+    batched eigvals and two batched SVDs, of ms for the 2-norms and of the
+    shifted matrices, serve all of them.
     """
     clusters = [_clusters(lam) for lam in np.linalg.eigvals(ms).tolist()]
-    mnorms = np.maximum(1.0, np.linalg.norm(ms, 2, axis=(-2, -1)))
+    mnorms = np.maximum(1.0, np.linalg.svd(ms, compute_uv=False)[:, 0])
     owner = [i for i, cl in enumerate(clusters) for _ in cl]
     centers = np.array([center for cl in clusters for center, _, _ in cl])
     diams = np.array([diam for cl in clusters for _, diam, _ in cl])
     _, sv, vh = np.linalg.svd(ms[owner] - centers[:, None, None] * np.eye(3))
     rank = _kernel_rank(sv, diams, mnorms[owner])
-    keep = np.arange(3) >= 3 - rank[:, None]  # the last rank rows of vh
-    padded = vh.conj().transpose(0, 2, 1) * keep[:, None, :]
-    return np.split(padded, np.cumsum([len(cl) for cl in clusters[:-1]]))
+    v = vh.conj().transpose(0, 2, 1)
+    bases = iter([v[c, :, 3 - r:] for c, r in enumerate(rank.tolist())])
+    return [[next(bases) for _ in cl] for cl in clusters]
 
 
 def is_reducible(ms) -> bool:
@@ -353,27 +354,33 @@ def is_reducible(ms) -> bool:
 
     Searches the tree of eigenspace choices, intersecting subspaces as it
     goes.  The eigenspaces of the first matrix are the roots.  A subspace
-    with basis B meets all eigenspaces of the next matrix in one batched
-    SVD of (I - P) B over their projectors P: the singular values are the
-    sines of the principal angles, and the directions with sine at most
-    sqrt(TOL_CLASSIFY) span the intersection.
+    with basis B meets all eigenspaces of the next matrix at once through
+    (I - P) B over their projectors P: its singular values are the sines
+    of the principal angles, and the directions with sine at most
+    sqrt(TOL_CLASSIFY) span the intersection.  A line's one sine is the
+    norm of (I - P) b, and the line itself is the intersection.
     """
     ms = np.array([np.asarray(m, dtype=complex) for m in ms])
     if not len(ms):
         raise ValueError("need at least one matrix")
     sine_tol = math.sqrt(TOL_CLASSIFY)
     spaces = _eigenspaces(ms)
-    projectors = [p @ p.conj().transpose(0, 2, 1) for p in spaces]
+    # The roots, the first matrix's eigenspaces, need no projectors.
+    projectors = [None, *(np.array([b @ b.conj().T for b in bases]) for bases in spaces[1:])]
 
     def common_line(i: int, basis: np.ndarray) -> bool:
         """Whether span(basis) holds a common eigenvector of ms[i:]."""
         if i == len(ms):
             return True
-        _, sv, vh = np.linalg.svd(basis - projectors[i] @ basis, full_matrices=False)
+        residue = basis - projectors[i] @ basis
+        if basis.shape[1] == 1:
+            sines = np.linalg.norm(residue, axis=(1, 2))
+            return bool((sines <= sine_tol).any()) and common_line(i + 1, basis)
+        _, sv, vh = np.linalg.svd(residue, full_matrices=False)
         for s, v in zip(sv, vh):
             k = int(np.sum(s <= sine_tol))
             if k and common_line(i + 1, basis @ v[len(s) - k:].conj().T):
                 return True
         return False
 
-    return any(common_line(1, b[:, b.any(axis=0)]) for b in spaces[0])
+    return any(common_line(1, b) for b in spaces[0])

@@ -34,6 +34,7 @@ from csu21 import (
     gauge_shift_boundary_integral,
     gauge_shift_closed,
     holonomy,
+    implied_angles,
     is_reducible,
     lie_exp,
     make_random_rep,
@@ -293,7 +294,8 @@ def test_acceptance_8_search_recovers_table():
     worst_residual = 0.0
     for target, e_cs, e_mu in zip(targets, EXPECTED_CS, EXPECTED_MU):
         result = find_representation(pres, target, seed=1, budget=64)
-        data, residual = extract_lift_data(pres, result, target)
+        lift = canonical_lift_data(pres, *implied_angles(pres, target))
+        data, residual = extract_lift_data(pres, result, target, lift)
         worst_residual = max(worst_residual, residual)
         cs = cs_closed(pres, data)
         rows_ok.append(

@@ -229,6 +229,28 @@ def test_deeply_nested_documents_are_malformed(monkeypatch, capsys, command):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("cs-seifert", {"a": [[0] * 100000], "data": CASE5_DATA}),
+        ("find-reps", {"a": [2, 3, 11], "target": dict(CASE5_TARGET, generators=[["1" * 200000, "0", "0"]] * 3)}),
+        ("find-reps", {"a": [2, 3, 11], "target": dict(CASE5_TARGET, generators=[["x" * 200000, "0", "0"]] * 3)}),
+        ("variation", {"family": "elliptic", "n": [1.5] * 100000}),
+        ("classify", {"matrix": [[[0.0] * 100000] * 3] * 3}),
+    ],
+    ids=["moduli", "rotation-number-digits", "rotation-number-text", "panel-count", "complex-entry"],
+)
+def test_diagnostics_echo_an_offending_entry_cut_short(run, command, doc):
+    # The offending entry is a few hundred thousand characters long; the
+    # whole envelope stays under 1 KB.
+    code, out = run([command, "--json"], stdin_text=json.dumps(doc))
+    assert code == 1
+    (diagnostic,) = _envelope(out)["diagnostics"]
+    assert diagnostic.startswith("malformed input: ")
+    assert "..." in diagnostic
+    assert len(out) < 1024
+
+
 def test_cs_seifert_reads_from_file(run, tmp_path):
     path = tmp_path / "rep.json"
     path.write_text(json.dumps({"a": [2, 3, 11], "data": CASE5_DATA}))
@@ -764,7 +786,7 @@ def test_find_reps_rejects_a_near_miss(run):
 def test_find_reps_accepts_only_through_extract_lift_data(run, monkeypatch):
     # Case five converges at seed 1; a refusal by the acceptance rule alone
     # must still fail the job, with the residual the rule scored.
-    def refuse(pres, result, target):
+    def refuse(pres, result, target, data):
         raise csu21.repfinder.NotASolution(0.5)
 
     monkeypatch.setattr("csu21.cli.extract_lift_data", refuse)
@@ -782,7 +804,7 @@ def test_find_reps_accepts_only_through_extract_lift_data(run, monkeypatch):
 def test_find_reps_reports_a_non_finite_residual_as_null(run, monkeypatch, residual):
     # A refusal on a residual that is no finite number still gives exit 3
     # and a strict-JSON envelope, with the residual as null.
-    def refuse(pres, result, target):
+    def refuse(pres, result, target, data):
         raise csu21.repfinder.NotASolution(residual)
 
     monkeypatch.setattr("csu21.cli.extract_lift_data", refuse)
@@ -826,6 +848,62 @@ def test_no_subcommand_prints_help(run):
     assert code == 0
     assert "cs-seifert" in out
     assert "verify-table" in out
+
+
+# For each command, an option it does not read (another command's), and
+# whether a value follows it.
+_FOREIGN_OPTIONS = {
+    "cs-seifert": ["--case", "1"],
+    "verify-table": ["--budget", "3"],
+    "classify": ["--tol-angle", "1e-9"],
+    "variation": ["--seed", "1"],
+    "find-reps": ["--tol-group", "1e-9"],
+    "mul": ["--case", "2"],
+    "check-u21": ["--budget", "4"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OPTIONS))
+def test_a_command_line_is_parsed_by_its_command(capsys, command):
+    # A usage error after a command comes from that command's own parser,
+    # whose usage line names the command.
+    option = _FOREIGN_OPTIONS[command]
+    assert option[0] not in _OPTIONS[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *option, "--json"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: csu21 {command} ")
+    assert f"csu21 {command}: error: unrecognized arguments: {option[0]}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, code, text",
+    [
+        (["--help"], 0, "{cs-seifert,verify-table,classify,variation,find-reps,mul,check-u21}"),
+        (["-h"], 0, "{cs-seifert,verify-table,classify,variation,find-reps,mul,check-u21}"),
+        (["nosuch"], 2, "argument command: invalid choice: 'nosuch'"),
+        (["--json", "cs-seifert", "x"], 2, "csu21: error: unrecognized arguments: --json"),
+        (["find-reps", "--help"], 0, "usage: csu21 find-reps [-h] [--json] [--seed SEED] [--budget BUDGET]"),
+    ],
+    ids=["help", "h", "unknown-command", "option-before-command", "command-help"],
+)
+def test_a_command_line_without_a_command_reaches_the_top_level(capsys, argv, code, text):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == code
+    assert text in captured.out + captured.err
+    assert (captured.out if code else captured.err) == ""
+
+
+def test_main_reads_sys_argv_by_default(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["csu21", "verify-table", "--case", "5", "--json"])
+    assert main() == 0
+    env = _envelope(capsys.readouterr().out)
+    assert env["command"] == "verify-table"
+    assert [row["case"] for row in env["payload"]["cases"]] == ["5"]
 
 
 # ---------------------------------------------------------------------------
@@ -962,6 +1040,26 @@ def test_envelopes_are_one_line_from_the_c_encoder(run, monkeypatch):
         assert code == 0, argv
         assert out.count("\n") == 1 and out.endswith("\n"), argv
         assert _envelope(out)["status"] == "ok"
+
+
+def test_encode_matrix_writes_each_entry_as_a_float_pair(rng):
+    m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    m[0, 1] = complex(-0.0, 0.0)
+    m[2, 2] = complex(0.0, -0.0)
+    got = encode_matrix(m)
+    assert got == [[[z.real, z.imag] for z in row] for row in m.tolist()]
+    assert all(type(x) is float for row in got for pair in row for x in pair)
+    assert math.copysign(1.0, got[0][1][0]) == -1.0 and math.copysign(1.0, got[2][2][1]) == -1.0
+    assert encode_matrix(np.eye(3)) == [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]
+    with pytest.raises(ValueError, match="matrix must be 3x3"):
+        encode_matrix(np.eye(2))
+
+
+def test_every_envelope_names_its_command(run):
+    for command, (argv, docs) in _FUZZ_SEEDS.items():
+        for doc in docs:
+            _, out = run([command, "--json", *argv], stdin_text=None if doc is None else json.dumps(doc))
+            assert _envelope(out)["command"] == command
 
 
 def test_cli_import_loads_no_scipy():

@@ -14,6 +14,7 @@ from csu21 import (
     SearchResult,
     Unliftable,
     algebra_element,
+    canonical_lift_data,
     check_u21,
     cs_closed,
     extract_lift_data,
@@ -33,6 +34,7 @@ from csu21.repfinder import (
     _defect,
     _defect_jacobian,
     _levenberg_marquardt,
+    _prefix_products,
     _target_diagonals,
 )
 
@@ -43,6 +45,20 @@ ZERO_TRI = (F(0), F(0), F(0))
 
 def _trivial_target(n=3):
     return ClassTarget((ZERO_TRI,) * n, F(0), (0, 0))
+
+
+def _lift(pres, target):
+    """The target's lift, which ``extract_lift_data`` accepts against."""
+    return canonical_lift_data(pres, *implied_angles(pres, target))
+
+
+def _residual(ms):
+    """The search's defect vector of the generators ms."""
+    return _defect(_prefix_products(ms))
+
+
+def _jacobian(ms):
+    return _defect_jacobian(ms, _prefix_products(ms))
 
 
 # ---------------------------------------------------------------------------
@@ -110,11 +126,11 @@ def test_residual_checks_matrix_count():
 
 
 def _central_difference(ms, h=1e-6):
-    """Columns of h -> _defect(_conjugate(ms, h)) at h = 0 by central differences."""
+    """Columns of h -> _residual(_conjugate(ms, h)) at h = 0 by central differences."""
     cols = []
     for e in np.eye(9 * (len(ms) - 1)):
-        plus = _defect(_conjugate(ms, h * e))
-        minus = _defect(_conjugate(ms, -h * e))
+        plus = _residual(_conjugate(ms, h * e))
+        minus = _residual(_conjugate(ms, -h * e))
         cols.append((plus - minus) / (2 * h))
     return np.column_stack(cols)
 
@@ -143,7 +159,7 @@ def test_defect_jacobian_matches_central_differences(a, target, rng):
     diags = _target_diagonals(target)
     for _ in range(3):
         ms = _conjugate(diags, rng.normal(size=9 * (pres.n - 1)) * 0.8)
-        jac = _defect_jacobian(ms)
+        jac = _jacobian(ms)
         assert jac.shape == (18, 9 * (pres.n - 1))
         fd = _central_difference(ms)
         np.testing.assert_allclose(jac, fd, rtol=0, atol=1e-6 * np.max(np.abs(jac)))
@@ -179,7 +195,7 @@ def test_singular_cayley_step_is_rejected_quietly():
     assert np.linalg.eigvals(algebra_element(boost[:9])).real.max() == pytest.approx(2.0)
     diags = _target_diagonals(sigma_2_3_11_targets()[4])
     start = _conjugate(diags, np.full(18, 0.1))
-    assert not np.isfinite(_defect(_conjugate(start, boost))).any()
+    assert not np.isfinite(_residual(_conjugate(start, boost))).any()
 
     # Offer the singular step as the solve's first trial point.
     steps, accepted = [], []
@@ -190,12 +206,12 @@ def test_singular_cayley_step_is_rejected_quietly():
 
     def jacobian(ms):
         accepted.append(ms)
-        return _defect_jacobian(ms)
+        return _jacobian(ms)
 
-    x = _levenberg_marquardt(_defect, jacobian, start, max_nfev=20, step=step)
+    x = _levenberg_marquardt(_residual, jacobian, start, max_nfev=20, step=step)
     assert all(np.isfinite(ms).all() for ms in accepted)
     assert accepted[0] is start and len(accepted) > 1
-    assert np.isfinite(_defect(x)).all()
+    assert np.isfinite(_residual(x)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +259,36 @@ def test_levenberg_marquardt_stops_on_a_zero_jacobian():
     assert np.array_equal(x, x0)
 
 
+def test_levenberg_marquardt_asks_for_the_jacobian_where_it_last_evaluated():
+    # The search's Jacobian reuses the products its residual evaluation
+    # left behind, which holds only at the latest point evaluated.
+    last = []
+
+    def fun(v):
+        last.append(v)
+        return _circle_residual(v)
+
+    def jac(v):
+        assert v is last[-1]
+        return _circle_jacobian(v)
+
+    _levenberg_marquardt(fun, jac, np.array([2.0, 0.5]), max_nfev=400)
+    assert len(last) > 2
+
+
+def test_target_diagonals_are_exact_phases_off_a_positive_zero():
+    # One exp over the whole stack gives the phases entry by entry; every
+    # off-diagonal entry is +0.0 in both parts, as np.diag writes it.
+    targets = [*sigma_2_3_11_targets(), _FOUR_GENERATOR_TARGET, _trivial_target(5)]
+    for target in targets:
+        diags = _target_diagonals(target)
+        reference = np.array([np.diag([np.exp(2j * math.pi * float(f)) for f in tri]) for tri in target.fractions])
+        assert diags.dtype == complex and diags.shape == reference.shape
+        assert diags.tobytes() == reference.tobytes()
+        off = ~np.eye(3, dtype=bool)
+        assert not np.signbit(diags.real[:, off]).any() and not np.signbit(diags.imag[:, off]).any()
+
+
 def test_levenberg_marquardt_never_accepts_a_non_finite_residual():
     # Everything beyond x = 1 evaluates to inf; the minimum lies at x = 2.
     accepted = []
@@ -267,7 +313,7 @@ def test_levenberg_marquardt_never_accepts_a_non_finite_residual():
 def test_search_finds_trivial_target_without_exploring():
     pres = presentation((2, 3, 11))
     result = find_representation(pres, _trivial_target(), seed=0, budget=1)
-    _, residual = extract_lift_data(pres, result, _trivial_target())
+    _, residual = extract_lift_data(pres, result, _trivial_target(), _lift(pres, _trivial_target()))
     assert residual <= 1e-12
     for m in result.matrices:
         assert np.max(np.abs(m - np.eye(3))) <= 1e-12
@@ -316,7 +362,7 @@ def test_iterations_count_every_residual_evaluation(monkeypatch):
     pres = presentation((2, 3, 11))
     target = sigma_2_3_11_targets()[4]
     result = find_representation(pres, target, seed=1, budget=64)
-    extract_lift_data(pres, result, target)  # raises unless the search converged
+    extract_lift_data(pres, result, target, _lift(pres, target))  # raises unless the search converged
     assert calls["jacobian"] > 0
     assert result.iterations == calls["defect"] + calls["jacobian"]
     assert 1 <= calls["lie_exp"] < calls["defect"] - 1
@@ -331,7 +377,7 @@ def test_table_searches_stay_within_their_evaluation_count():
     total = 0
     for target in sigma_2_3_11_targets():
         result = find_representation(pres, target, seed=1, budget=64)
-        extract_lift_data(pres, result, target)  # raises unless the search converged
+        extract_lift_data(pres, result, target, _lift(pres, target))  # raises unless the search converged
         total += result.iterations
     assert total <= 200
 
@@ -344,7 +390,7 @@ def test_table_searches_converge_within_100_evaluations():
     for seed in range(42):
         for target, case in zip(sigma_2_3_11_targets(), sigma_2_3_11_fixture()):
             result = find_representation(pres, target, seed=seed, budget=64)
-            data, _ = extract_lift_data(pres, result, target)  # raises unless the search converged
+            data, _ = extract_lift_data(pres, result, target, _lift(pres, target))  # raises unless the search converged
             assert not is_reducible(result.matrices), (seed, case.label)
             assert cs_closed(pres, data) == case.expected_cs
             assert result.iterations <= 100, (seed, case.label, result.iterations)
@@ -357,7 +403,7 @@ def test_search_random_starts_stay_finite(seed):
     pres = presentation((2, 3, 11))
     for target, case in zip(sigma_2_3_11_targets(), sigma_2_3_11_fixture()):
         result = find_representation(pres, target, seed=seed, budget=64)
-        data, _ = extract_lift_data(pres, result, target)  # raises unless the search converged
+        data, _ = extract_lift_data(pres, result, target, _lift(pres, target))  # raises unless the search converged
         assert not is_reducible(list(result.matrices))
         assert cs_closed(pres, data) == case.expected_cs
 
@@ -384,7 +430,7 @@ def test_stalled_search_stays_finite_and_unconverged(target, budget):
     pres = presentation((2, 3, 11))
     result = find_representation(pres, target, seed=1, budget=budget)
     with pytest.raises(NotASolution) as verdict:
-        extract_lift_data(pres, result, target)
+        extract_lift_data(pres, result, target, _lift(pres, target))
     assert np.isfinite(verdict.value.residual)
     assert all(np.isfinite(m).all() for m in result.matrices)
 
@@ -393,7 +439,7 @@ def test_converged_search_solves_case_five():
     pres = presentation((2, 3, 11))
     target = sigma_2_3_11_targets()[4]
     result = find_representation(pres, target, seed=1, budget=16)
-    data, residual = extract_lift_data(pres, result, target)
+    data, residual = extract_lift_data(pres, result, target, _lift(pres, target))
     assert residual == relation_residual(pres, result.matrices, target)
     assert residual <= 1e-8
     assert cs_closed(pres, data) == F(25, 66)
@@ -470,7 +516,7 @@ def test_extract_detects_eigenphase_mismatch():
     target = sigma_2_3_11_targets()[4]
     fake = SearchResult((np.eye(3),) * 3, seed=0, iterations=0)
     with pytest.raises(NotASolution) as verdict:
-        extract_lift_data(pres, fake, target)
+        extract_lift_data(pres, fake, target, _lift(pres, target))
     residual = relation_residual(pres, fake.matrices, target)
     assert verdict.value.residual == residual > 1e-12
     assert str(verdict.value) == f"residual {residual:.3e} > 1e-12"
@@ -483,7 +529,7 @@ def test_extract_refuses_a_nan_residual(monkeypatch):
     result = find_representation(pres, target, seed=1, budget=16)
     monkeypatch.setattr("csu21.repfinder.relation_residual", lambda *args: math.nan)
     with pytest.raises(NotASolution) as verdict:
-        extract_lift_data(pres, result, target)
+        extract_lift_data(pres, result, target, _lift(pres, target))
     assert math.isnan(verdict.value.residual)
 
 
@@ -492,10 +538,10 @@ def test_extract_checks_a_search_against_the_target_it_is_given():
     pres = presentation((2, 3, 11))
     targets = sigma_2_3_11_targets()
     result = find_representation(pres, targets[4], seed=1, budget=16)
-    extract_lift_data(pres, result, targets[4])  # raises unless the search converged
+    extract_lift_data(pres, result, targets[4], _lift(pres, targets[4]))  # raises unless the search converged
     for other in targets[:4]:
         with pytest.raises(NotASolution):
-            extract_lift_data(pres, result, other)
+            extract_lift_data(pres, result, other, _lift(pres, other))
 
 
 def test_extract_flags_unliftable_targets():
@@ -504,5 +550,5 @@ def test_extract_flags_unliftable_targets():
     target = ClassTarget(((F(1, 3), F(0), F(0)), ZERO_TRI, ZERO_TRI), F(0), (0, 0))
     mats = tuple(_target_diagonals(target))
     fake = SearchResult(mats, seed=0, iterations=0)
-    with pytest.raises(Unliftable):
-        extract_lift_data(pres, fake, target)
+    with pytest.raises(Unliftable):  # from the lift it would accept against
+        extract_lift_data(pres, fake, target, _lift(pres, target))

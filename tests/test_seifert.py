@@ -46,7 +46,7 @@ from csu21.jsonio import (
     encode_presentation,
     encode_rep_data,
 )
-from csu21.seifert import SeifertPresentation, _rep_from_draws
+from csu21.seifert import SeifertPresentation, _echo, _rep_from_draws
 from conftest import shift_central_split, shift_generator_lift, swap_pq
 
 F = Fraction
@@ -539,14 +539,15 @@ _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 def _grammar_verdict(s):
     """The verdict the grammar gives: a fullmatch of ``_RATIONAL``, read as
     Fraction(int(num), int(den)).  No string reaches Fraction's own parser,
-    which alone would run for minutes on a draw such as "9e99999999"."""
+    which alone would run for minutes on a draw such as "9e99999999".  The
+    message echoes the literal cut short, as every decoding diagnostic does."""
     if not _RATIONAL.fullmatch(s):
-        return "error", f"bad rational literal {s!r}: not of the form [-]digits[/digits]"
+        return "error", f"bad rational literal {_echo(s)}: not of the form [-]digits[/digits]"
     num, _, den = s.partition("/")
     try:
         return "ok", F(int(num), int(den or "1"))
     except (ValueError, ZeroDivisionError) as exc:  # a zero denominator, or int's digit limit
-        return "error", f"bad rational literal {s!r}: {exc}"
+        return "error", f"bad rational literal {_echo(s)}: {exc}"
 
 
 def _assert_decodes_by_the_grammar(s):
@@ -584,6 +585,19 @@ def test_decode_fraction_matches_fraction_on_fixed_cases(s):
 )
 def test_decode_fraction_matches_fraction(s):
     _assert_decodes_by_the_grammar(s)
+
+
+def test_echo_is_repr_cut_short():
+    # Short values echo as repr does; any value echoes in a few hundred
+    # characters, however long or deep, without recursing into it.
+    for v in (1.5, "3/4x", True, None, [1, "2"], {"a": 1}, -7):
+        assert _echo(v) == repr(v)
+    deep = []
+    for _ in range(100000):
+        deep = [deep]
+    for v in ("x" * 10**6, [0] * 10**6, {str(k): k for k in range(10**5)}, deep, (("a" * 100,) * 100,) * 100):
+        assert len(_echo(v)) < 400
+    assert _echo([0] * 10**6) == "[0, 0, 0, 0, 0, 0, ...]"
 
 
 def test_decode_fraction_takes_ints_but_not_bools():

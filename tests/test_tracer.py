@@ -55,17 +55,28 @@ def test_tracer_wraps_every_layer(tracer_module, tracer):
     assert not hasattr(csu21.repfinder.relation_residual, "__wrapped__")
 
 
-def test_traced_find_reps_accepts_once_and_does_not_validate(tracer, tmp_path):
-    # One job: a pre-flight lift, one search, one acceptance (a second lift
-    # and one residual), and no validate_rep, whose checks the lift implies.
+def test_traced_find_reps_accepts_once_and_does_not_validate(tracer, tmp_path, monkeypatch):
+    # One job: one lift of the target, one search, one acceptance against
+    # that lift (one residual), and no validate_rep, whose checks the lift
+    # implies.
     doc = {"a": [2, 3, 11], "target": encode_class_target(csu21.sigma_2_3_11_targets()[4])}
     path = tmp_path / "class5.json"
     path.write_text(json.dumps(doc))
+    implied_angles, implied = csu21.seifert.implied_angles, []
+
+    def counting(*args):
+        implied.append(args)
+        return implied_angles(*args)
+
+    for name, module in list(sys.modules.items()):  # every name the function is reachable by
+        if name.split(".")[0] == "csu21" and getattr(module, "implied_angles", None) is implied_angles:
+            monkeypatch.setattr(module, "implied_angles", counting)
     with contextlib.redirect_stdout(io.StringIO()):
         assert csu21.cli.main(["find-reps", str(path), "--seed", "1", "--budget", "16", "--json"]) == 0
     calls = tracer.calls
     assert calls["repfinder.find_representation"] == 1
     assert calls["repfinder.extract_lift_data"] == 1
     assert calls["repfinder.relation_residual"] == 1
-    assert calls["seifert.canonical_lift_data"] == 2
+    assert calls["seifert.canonical_lift_data"] == 1
+    assert len(implied) == 1
     assert calls["seifert.validate_rep"] == 0

@@ -28,8 +28,8 @@ from csu21 import (
     random_u21,
     u21_algebra_residual,
 )
-from csu21 import LoxodromicNF, ParabolicC1NF, ParabolicC2NF
-from csu21.ug21 import J, angle_dist, random_algebra_element
+from csu21 import LoxodromicNF, ParabolicC1NF, ParabolicC2NF, find_representation, presentation, sigma_2_3_11_targets
+from csu21.ug21 import TOL_CLASSIFY, J, _clusters, _kernel_rank, angle_dist, random_algebra_element
 
 
 def diag(*entries):
@@ -425,6 +425,88 @@ def test_is_reducible_agrees_with_burnside(rng):
         assert max(check_u21(m) for m in ms) <= 1e-10
         assert _burnside_irreducible(ms) is not built_reducible, (k, kinds[k % 4])
         assert is_reducible(ms) is built_reducible, (k, kinds[k % 4])
+
+
+# The reducibility test before its eigenspaces became column slices of the
+# batched SVD and a line's sines one batched norm, verbatim: the reference
+# the verdicts of ``is_reducible`` are compared with.
+def _reference_eigenspaces(ms: np.ndarray) -> list[np.ndarray]:
+    clusters = [_clusters(lam) for lam in np.linalg.eigvals(ms).tolist()]
+    mnorms = np.maximum(1.0, np.linalg.norm(ms, 2, axis=(-2, -1)))
+    owner = [i for i, cl in enumerate(clusters) for _ in cl]
+    centers = np.array([center for cl in clusters for center, _, _ in cl])
+    diams = np.array([diam for cl in clusters for _, diam, _ in cl])
+    _, sv, vh = np.linalg.svd(ms[owner] - centers[:, None, None] * np.eye(3))
+    rank = _kernel_rank(sv, diams, mnorms[owner])
+    keep = np.arange(3) >= 3 - rank[:, None]  # the last rank rows of vh
+    padded = vh.conj().transpose(0, 2, 1) * keep[:, None, :]
+    return np.split(padded, np.cumsum([len(cl) for cl in clusters[:-1]]))
+
+
+def _reference_is_reducible(ms) -> bool:
+    ms = np.array([np.asarray(m, dtype=complex) for m in ms])
+    if not len(ms):
+        raise ValueError("need at least one matrix")
+    sine_tol = math.sqrt(TOL_CLASSIFY)
+    spaces = _reference_eigenspaces(ms)
+    projectors = [p @ p.conj().transpose(0, 2, 1) for p in spaces]
+
+    def common_line(i: int, basis: np.ndarray) -> bool:
+        """Whether span(basis) holds a common eigenvector of ms[i:]."""
+        if i == len(ms):
+            return True
+        _, sv, vh = np.linalg.svd(basis - projectors[i] @ basis, full_matrices=False)
+        for s, v in zip(sv, vh):
+            k = int(np.sum(s <= sine_tol))
+            if k and common_line(i + 1, basis @ v[len(s) - k:].conj().T):
+                return True
+        return False
+
+    return any(common_line(1, b[:, b.any(axis=0)]) for b in spaces[0])
+
+
+def _near_common_triple(rng, sine):
+    """Three matrices with distinct eigenvalues: diagonal m1 and m3 share the
+    eigenvector e1, and m2's eigenvector nearest to it is e1 turned by the
+    angle whose sine is ``sine`` in the (e1, e2) plane."""
+    m1, m3 = (np.diag(np.exp(2j * np.pi * rng.uniform(size=3))) for _ in range(2))
+    c = np.zeros(9)
+    c[[0, 1, 2, 7, 8]] = rng.normal(size=5)  # a phase on e1 and a U(1,1) block on (e2, e3)
+    m2 = lie_exp(algebra_element(c))
+    turn = np.zeros(9)
+    turn[3] = math.asin(sine)  # a rotation of the (e1, e2) plane
+    h = lie_exp(algebra_element(turn))
+    return [m1, h @ m2 @ _u21_inverse(h), m3]
+
+
+def test_is_reducible_keeps_the_verdicts_of_the_reference(rng):
+    # The 210 table solutions (irreducible), seeded triples built with a
+    # common conjugated eigenvector, triples whose every matrix has the
+    # repeated eigenvalue of class (1/2, 1/2, 0), and triples whose common
+    # eigenvector is off by a sine at half and at twice sqrt(TOL_CLASSIFY).
+    stacks = []
+    pres = presentation((2, 3, 11))
+    for seed in range(42):
+        stacks += [(find_representation(pres, t, seed=seed, budget=64).matrices, False) for t in sigma_2_3_11_targets()]
+    kinds = ["reducible elliptic", "reducible parabolic"]
+    stacks += [_triple(rng, kinds[k % 2]) for k in range(200)]
+    for k in range(40):
+        us = [lie_exp(random_algebra_element(rng, 0.6)) for _ in range(3)]
+        if k % 2:  # a common conjugation keeps e3, which every matrix fixes
+            us = [us[0]] * 3
+        halves = [np.diag(np.exp(2j * np.pi * rng.permutation([0.0, 0.5, 0.5]))) for _ in range(3)]
+        stacks.append(([u @ m @ _u21_inverse(u) for u, m in zip(us, halves)], None))
+    sine_tol = math.sqrt(TOL_CLASSIFY)
+    for k in range(40):
+        factor = (0.5, 2.0)[k % 2]
+        ms = _near_common_triple(rng, factor * sine_tol)
+        stacks.append((ms, factor < 1))
+        stacks.append(([ms[1], ms[0], ms[2]], factor < 1))  # the turned line as a root
+    assert len(stacks) == 530
+    for k, (ms, built) in enumerate(stacks):
+        verdict = is_reducible(ms)
+        assert verdict is _reference_is_reducible(ms), k
+        assert built is None or verdict is built, k
 
 
 def test_is_reducible_needs_input():
