@@ -103,6 +103,29 @@ def _decode_source(doc):
     raise ValueError("input needs either 'data' or 'angles'")
 
 
+def _invariants(pres, data) -> dict:
+    """The invariant report of valid ``data``: cs and mu by the closed
+    formula, and cs again by the pipeline, the second route."""
+    cs = cs_closed(pres, data)
+    pipe = cs_pipeline(pres, data)
+    mu = burns_epstein(cs)
+    return {
+        "cs": jsonio.encode_fraction(cs),
+        "cs_decimal": float(cs),
+        "burns_epstein": jsonio.encode_fraction(mu),
+        "burns_epstein_decimal": float(mu),
+        "pipeline_cs": jsonio.encode_fraction(pipe),
+        "pipeline_agrees": pipe == cs,
+    }
+
+
+def _agreed(payload):
+    """Success, or exit 2 when the payload's two routes disagree."""
+    if payload["pipeline_agrees"]:
+        return _ok(payload)
+    return _fail(2, payload, ["closed formula and pipeline disagree"])
+
+
 def cmd_cs_seifert(args):
     pres, (kind, source) = _parse(args, lambda doc: (jsonio.decode_presentation(doc), _decode_source(doc)))
     if kind == "angles":
@@ -113,22 +136,12 @@ def cmd_cs_seifert(args):
         if failed:
             diags = [f"constraint {name} failed: {detail}" for name, detail in failed]
             return _fail(2, {"data": jsonio.encode_rep_data(data)}, diags)
-    cs = cs_closed(pres, data, validate=False)
-    pipe = cs_pipeline(pres, data, validate=False)
-    mu = burns_epstein(cs)
     payload = {
         "presentation": jsonio.encode_presentation(pres),
         "data": jsonio.encode_rep_data(data),
-        "cs": jsonio.encode_fraction(cs),
-        "cs_decimal": float(cs),
-        "burns_epstein": jsonio.encode_fraction(mu),
-        "burns_epstein_decimal": float(mu),
-        "pipeline_cs": jsonio.encode_fraction(pipe),
-        "pipeline_agrees": pipe == cs,
+        **_invariants(pres, data),
     }
-    if pipe != cs:
-        return _fail(2, payload, ["closed formula and pipeline disagree"])
-    return _ok(payload)
+    return _agreed(payload)
 
 
 def cmd_verify_table(args):
@@ -138,16 +151,16 @@ def cmd_verify_table(args):
     pres = presentation((2, 3, 11))
     rows = []
     for case in cases:
-        data = canonical_lift_data(pres, case.generators, case.central)
-        pipe = cs_pipeline(pres, data, validate=False)
-        closed = cs_closed(pres, data, validate=False)
+        report = _invariants(pres, canonical_lift_data(pres, case.generators, case.central))
+        # "num/den" in lowest terms: equal strings are equal values.
+        expected = jsonio.encode_fraction(case.expected_cs)
         rows.append({
             "case": case.label,
-            "expected": jsonio.encode_fraction(case.expected_cs),
-            "pipeline": jsonio.encode_fraction(pipe),
-            "closed": jsonio.encode_fraction(closed),
-            "burns_epstein": jsonio.encode_fraction(burns_epstein(closed)),
-            "match": pipe == closed == case.expected_cs,
+            "expected": expected,
+            "pipeline": report["pipeline_cs"],
+            "closed": report["cs"],
+            "burns_epstein": report["burns_epstein"],
+            "match": report["pipeline_agrees"] and report["cs"] == expected,
         })
     all_match = all(r["match"] for r in rows)
     payload = {"presentation": jsonio.encode_presentation(pres), "cases": rows, "all_match": all_match}
@@ -206,17 +219,14 @@ def cmd_find_reps(args):
     except NotASolution as exc:
         search = jsonio.encode_search_result(result, exc.residual, False)
         return _fail(3, {"search": search}, [f"search did not converge: best {exc} after budget {args.budget}"])
-    cs = cs_closed(pres, data, validate=False)
     payload = {
         "presentation": jsonio.encode_presentation(pres),
         "search": jsonio.encode_search_result(result, residual, True),
         "data": jsonio.encode_rep_data(data),
-        "cs": jsonio.encode_fraction(cs),
-        "cs_decimal": float(cs),
-        "burns_epstein": jsonio.encode_fraction(burns_epstein(cs)),
+        **_invariants(pres, data),
         "irreducible": not is_reducible(result.matrices),
     }
-    return _ok(payload)
+    return _agreed(payload)
 
 
 def cmd_mul(args):

@@ -96,11 +96,6 @@ def decode_complex(v) -> complex:
     return complex(_real(v[0]), _real(v[1]))
 
 
-def encode_complex(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def decode_matrix(data) -> np.ndarray:
     _require(isinstance(data, list) and len(data) == 3, "matrix must be 3 rows")
     rows = []

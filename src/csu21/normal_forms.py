@@ -81,7 +81,9 @@ class NormalForm:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}, expected one of {list(FAMILIES)}")
+            from .seifert import _echo  # only a failing input pays for the import
+
+            raise ValueError(f"unknown family {_echo(self.family)}, expected one of {list(FAMILIES)}")
 
 
 def EllipticNF(alpha, beta) -> NormalForm:
@@ -139,7 +141,9 @@ def direction_matrix(family: str, values) -> np.ndarray:
         out[..., 0, 2] = 1j * v3
         out[..., 2, 0] = -1j * v3
     else:
-        raise ValueError(f"unknown family {family!r}")
+        from .seifert import _echo  # only a failing input pays for the import
+
+        raise ValueError(f"unknown family {_echo(family)}")
     return out
 
 

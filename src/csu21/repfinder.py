@@ -75,7 +75,7 @@ from .ug21 import J, algebra_element, lie_exp
 # near-misses, whose starts all stall at a positive minimum of the long
 # relation's defect, at 1.6e-9 and above (also when the 201 below 1e-7
 # are searched again at budget 64).  1e-12 lies inside that
-# gap and above the search's own stop (squared defect <= 1e-16).
+# gap and far above the search's own stop (squared defect <= DEFECT_FLOOR).
 CONVERGED_RESIDUAL = 1e-12
 
 # Standard deviation of the chart coordinates of a random start.  Over
@@ -88,10 +88,10 @@ START_SCALE = 0.4
 
 # A solve stops once its squared defect is at most this, the rounding
 # floor of the long relation: further steps no longer improve the full
-# residual.  On the same probe it cuts a solve from 23.0 evaluations to
-# 20.1 (worst 47), and the worst full residual stays at 3.2e-24.
-# Stopping at the search's own 1e-16 would save 2.4 more but leave the
-# worst full residual at 9.9e-17.
+# residual.  The search stops once a solve has reached it.  On the same
+# probe it cuts a solve from 23.0 evaluations to 20.1 (worst 47), and the
+# worst full residual stays at 3.2e-24.  A floor of 1e-16 would save 2.4
+# more but leave the worst full residual at 9.9e-17.
 DEFECT_FLOOR = 1e-24
 
 
@@ -231,7 +231,8 @@ def _defect_jacobian(ms: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _levenberg_marquardt(fun, jac, x, max_nfev: int, step=np.add, floor: float = 0.0):
-    """Minimise |fun(x)|^2 from x by Levenberg-Marquardt; return the last accepted x.
+    """Minimise |fun(x)|^2 from x by Levenberg-Marquardt; return the last
+    accepted x and its |fun(x)|^2.
 
     Nielsen's damping rule (Madsen, Nielsen & Tingleff, Methods for
     non-linear least squares problems, 2004, section 3.2).  ``jac(x)`` is
@@ -244,6 +245,12 @@ def _levenberg_marquardt(fun, jac, x, max_nfev: int, step=np.add, floor: float =
     included).  A trial point whose residual is
     not finite is rejected like any step that does not reduce |r|^2, and
     so is a step whose damped normal equations are singular.
+
+    The returned point has the least |r|^2 of every point evaluated: a
+    step is accepted iff rho > 0, and rho's denominator h.(mu h - g) =
+    2 mu |h|^2 + h^T J^T J h is positive, so a step is accepted iff it
+    lowers |r|^2, and each rejected point is no lower than the point it
+    was tried from.
     """
     r = fun(x)
     rr = r @ r
@@ -277,59 +284,55 @@ def _levenberg_marquardt(fun, jac, x, max_nfev: int, step=np.add, floor: float =
         else:
             mu *= nu
             nu *= 2.0
-    return x
+    return x, rr
 
 
-def find_representation(
-    pres: SeifertPresentation,
-    target: ClassTarget,
-    seed: int = 0,
-    budget: int = 64,
-) -> SearchResult:
+def find_representation(pres: SeifertPresentation, target: ClassTarget, seed: int, budget: int) -> SearchResult:
     """Deterministic multi-start search for a representation in the classes.
 
     ``budget`` counts starts, at least one.  Start 0 evaluates the
     all-diagonal configuration once; starts 1 .. budget - 1 each run one
     Levenberg-Marquardt solve from a seeded random point, which stops at
     the squared defect ``DEFECT_FLOOR``.  No further start is made once
-    the squared defect of the long relation is at most 1e-16, and the
-    search returns the best candidate evaluated, unscored:
-    ``extract_lift_data`` decides whether it is a solution.  Identical
-    (seed, budget) reruns return identical results.
+    the squared defect of the long relation is at most ``DEFECT_FLOOR``,
+    and the search returns the best candidate, unscored: the candidate
+    of least squared defect, the first such on a tie.  Each solve's
+    returned point is its least (see ``_levenberg_marquardt``), so that
+    is the best of every point evaluated.  ``extract_lift_data`` decides
+    whether it is a solution.  Identical (seed, budget) reruns return
+    identical results.
     """
     diags = _target_diagonals(target)
     dim = 9 * (pres.n - 1)
     evals = 0
-    best_val, best_ms = math.inf, None
     prefix = None  # prefix products of the latest point evaluated, where the Jacobian is asked for
 
     def residual_vector(ms):
-        nonlocal evals, best_val, best_ms, prefix
+        nonlocal evals, prefix
         evals += 1
         prefix = _prefix_products(ms)
-        r = _defect(prefix)
-        val = float(r @ r)
-        if val < best_val:
-            best_val, best_ms = val, ms
-        return r
+        return _defect(prefix)
 
     def jacobian(ms):
         nonlocal evals
         evals += 1
         return _defect_jacobian(ms, prefix)
 
-    residual_vector(diags)
+    r = residual_vector(diags)
+    best_rr, best_ms = r @ r, diags
     rng = np.random.default_rng(seed)
     # A large trial step can overflow in the products of the moved
     # generators; its residual is then not finite and the step is rejected.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(1, budget):
-            if best_val <= 1e-16:
+            if best_rr <= DEFECT_FLOOR:
                 break
             start = _conjugate_by(diags, lie_exp(_increments(rng.normal(size=dim) * START_SCALE)))
-            _levenberg_marquardt(
+            ms, rr = _levenberg_marquardt(
                 residual_vector, jacobian, start, max_nfev=400, step=_conjugate, floor=DEFECT_FLOOR
             )
+            if rr < best_rr:
+                best_rr, best_ms = rr, ms
     return SearchResult(tuple(best_ms), seed, evals)
 
 

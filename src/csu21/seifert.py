@@ -85,10 +85,6 @@ class LengthMismatch(ValueError):
     """Per-generator tuples disagree with the presentation length."""
 
 
-class InvalidRepData(ValueError):
-    """Representation data violates the presentation constraints."""
-
-
 class Unliftable(ValueError):
     """Angle data admits no lift consistent with the relations."""
 
@@ -281,37 +277,34 @@ def validate_rep(pres: SeifertPresentation, data: LiftedRepData) -> tuple[tuple[
     return tuple(failed)
 
 
-def _require_valid(pres, data, validate):
-    if validate and (failed := validate_rep(pres, data)):
-        details = ", ".join(f"{name} ({detail})" for name, detail in failed)
-        raise InvalidRepData(f"representation data violates: {details}")
-
-
-def cs_closed(pres: SeifertPresentation, data: LiftedRepData, validate: bool = True) -> Fraction:
+def cs_closed(pres: SeifertPresentation, data: LiftedRepData) -> Fraction:
     """Closed-form invariant (a/2)(P^2 + Q^2 + R^2) mod Z, exactly.
+
+    ``data`` must be valid: ``validate_rep(pres, data) == ()``, as for
+    the output of ``canonical_lift_data``.  This route does not check it;
+    on invalid data its value means nothing.
 
     With P = sum p_i = sum(P_i)/d (and Q, R alike) this is one fraction
     a (P'^2 + Q'^2 + R'^2) / (2 d^2) on the numerator sums P', Q', R'.
     """
-    _require_valid(pres, data, validate)
     d, _, _, _, P, Q, R = data.numerators
     P, Q, R = sum(P), sum(Q), sum(R)
     den = 2 * d * d
     return Fraction(pres.product * (P * P + Q * Q + R * R) % den, den)  # mod Z
 
 
-def cs_pipeline(pres: SeifertPresentation, data: LiftedRepData, validate: bool = True) -> Fraction:
+def cs_pipeline(pres: SeifertPresentation, data: LiftedRepData) -> Fraction:
     """Invariant via the variation pipeline, exactly.
 
     Chains the elliptic variation formula through the cone connections:
     the endpoint contribution cs(A_0) of the deformation to the flat
     cone, minus the base contribution cs(B_0) of the comparison cone.
-    Agrees with ``cs_closed`` mod Z for all valid data.
+    Agrees with ``cs_closed`` mod Z for all valid data.  Like
+    ``cs_closed`` it takes valid data and does not check it.
 
     Both terms are numerators over 2 a d^2: S' = Sp/a and s_n/a_n = Sl/a,
     the angles are numerators over d as in ``LiftedRepData.numerators``.
     """
-    _require_valid(pres, data, validate)
     total = pres.product
     d, P0, Q0, R0, P, Q, R = data.numerators
     P, Q, R = sum(P), sum(Q), sum(R)
@@ -441,7 +434,7 @@ def canonical_lift_data(
 def _unit_fraction(v) -> Fraction:
     f = _frac(v)
     if not 0 <= f < 1:
-        raise ValueError(f"rotation numbers must lie in [0, 1), got {f}")
+        raise ValueError(f"rotation numbers must lie in [0, 1), got {_echo(f)}")
     return f
 
 

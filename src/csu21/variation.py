@@ -73,6 +73,10 @@ EIGHT_PI_SQ = 8.0 * math.pi**2
 
 MIN_SAMPLES = 33
 
+# Grid points of the gauge-shift boundary integral.  Its integrand does
+# not depend on x, so the grid size does not change the result.
+GAUGE_GRID = 256
+
 
 class FamilyMismatch(ValueError):
     """Path parameters do not belong to the declared normal-form family."""
@@ -123,12 +127,16 @@ class ConnectionPath:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise FamilyMismatch(f"unknown family {self.family!r}")
+            from .seifert import _echo  # only a failing input pays for the import
+
+            raise FamilyMismatch(f"unknown family {_echo(self.family)}")
         allowed = set(FAMILY_PARAMS[self.family])
         stray = sorted(set(self.params) - allowed)
         if stray:
+            from .seifert import _echo
+
             raise FamilyMismatch(
-                f"parameters {stray} do not belong to family {self.family!r} "
+                f"parameters {_echo(stray)} do not belong to family {self.family!r} "
                 f"(expected a subset of {sorted(allowed)})"
             )
 
@@ -280,7 +288,7 @@ def cs_integrand(path: ConnectionPath, t: np.ndarray) -> np.ndarray:
     return np.einsum("jn,jk,kn->n", values, DENSITY_FORMS[path.family], derivs) / EIGHT_PI_SQ
 
 
-def cs_delta_quadrature(path: ConnectionPath, n: int = 256) -> float:
+def cs_delta_quadrature(path: ConnectionPath, n: int) -> float:
     """CS change along the path by Simpson quadrature of the trace density.
 
     ``n`` (even, >= 2) is the panel count for smooth parameter paths;
@@ -302,24 +310,23 @@ def gauge_shift_closed(m: int, n: int, alpha, beta) -> float:
     return 0.5 * m * (beta[0] - beta[1]) - 0.5 * n * (alpha[0] - alpha[1])
 
 
-def gauge_shift_boundary_integral(nf: NormalForm, n_grid: int = 256) -> float:
+def gauge_shift_boundary_integral(nf: NormalForm) -> float:
     """Boundary-torus integral form of the basic (1, 0) gauge shift.
 
     Gauging an elliptic connection A by g(x) = diag(e^{2 pi i x},
     e^{-2 pi i x}, 1) changes CS by (1/8 pi^2) int_T tr(g^{-1} A g ∧
     g^{-1} dg); the integrand is y-independent, so a periodic-trapezoid
-    average over x (spectrally accurate) evaluates the torus integral.
-    Matches gauge_shift_closed(1, 0, alpha, beta).
+    average over ``GAUGE_GRID`` points in x evaluates the torus integral.
+    With g diagonal the integrand is -Re 2 pi i (cy_00 - cy_11), constant
+    in x as well.  Matches gauge_shift_closed(1, 0, alpha, beta).
     """
     if nf.family != ELLIPTIC:
         raise TypeError("gauge loops in this normal form act on elliptic connections")
-    if n_grid < 16:
-        raise ValueError(f"n_grid must be >= 16, got {n_grid}")
     _, cy = connection_coeffs(nf)
-    # g(x) = diag(e, 1/e, 1) and dg/dx as diagonals over the grid x = k / n_grid.
-    e = np.exp(2j * math.pi * np.arange(n_grid) / n_grid)
-    g = np.stack([e, np.conj(e), np.ones(n_grid)], axis=1)
-    dg = 2j * math.pi * np.stack([e, -np.conj(e), np.zeros(n_grid)], axis=1)
+    # g(x) = diag(e, 1/e, 1) and dg/dx as diagonals over the grid x = k / GAUGE_GRID.
+    e = np.exp(2j * math.pi * np.arange(GAUGE_GRID) / GAUGE_GRID)
+    g = np.stack([e, np.conj(e), np.ones(GAUGE_GRID)], axis=1)
+    dg = 2j * math.pi * np.stack([e, -np.conj(e), np.zeros(GAUGE_GRID)], axis=1)
     ginv = np.conj(g)
     # dx^dy coefficient of tr(g^-1 A g ^ g^-1 dg): only the cy dy term
     # survives against the dx-valued Maurer-Cartan form, with a sign

@@ -147,7 +147,7 @@ def test_acceptance_4_gauge_boundary_integral():
     for _ in range(20):
         nf = random_normal_form(rng, "elliptic")
         closed = gauge_shift_closed(1, 0, nf.x, nf.y)
-        worst = max(worst, abs(gauge_shift_boundary_integral(nf, n_grid=256) - closed))
+        worst = max(worst, abs(gauge_shift_boundary_integral(nf) - closed))
     ok = worst <= 1e-8
     _verdict(
         4,

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import csu21.cli
 import csu21.repfinder
 import csu21.seifert
-from csu21 import sigma_2_3_11_fixture
+from csu21 import jsonio, sigma_2_3_11_fixture, target_from_angles
 from csu21.cli import build_parser, main
 from csu21.jsonio import _real, _reals, encode_angles, encode_matrix
 
@@ -235,10 +235,16 @@ def test_deeply_nested_documents_are_malformed(monkeypatch, capsys, command):
         ("cs-seifert", {"a": [[0] * 100000], "data": CASE5_DATA}),
         ("find-reps", {"a": [2, 3, 11], "target": dict(CASE5_TARGET, generators=[["1" * 200000, "0", "0"]] * 3)}),
         ("find-reps", {"a": [2, 3, 11], "target": dict(CASE5_TARGET, generators=[["x" * 200000, "0", "0"]] * 3)}),
+        ("find-reps", {"a": [2, 3, 11], "target": dict(CASE5_TARGET, generators=[["1" * 4000, "0", "0"]] * 3)}),
         ("variation", {"family": "elliptic", "n": [1.5] * 100000}),
+        ("variation", {"family": "x" * 200000, "params": {}}),
+        ("variation", {"family": "elliptic", "params": {"x" * 200000: {"kind": "linear", "from": 0, "to": 1}}}),
         ("classify", {"matrix": [[[0.0] * 100000] * 3] * 3}),
     ],
-    ids=["moduli", "rotation-number-digits", "rotation-number-text", "panel-count", "complex-entry"],
+    ids=[
+        "moduli", "rotation-number-digits", "rotation-number-text", "rotation-number-range", "panel-count",
+        "family", "parameter-name", "complex-entry",
+    ],
 )
 def test_diagnostics_echo_an_offending_entry_cut_short(run, command, doc):
     # The offending entry is a few hundred thousand characters long; the
@@ -708,6 +714,43 @@ def test_find_reps_solves_case_five(run):
     assert payload["burns_epstein"] == "41/66"
     assert payload["irreducible"] is True
     assert payload["search"]["residual"] <= 1e-8
+
+
+@pytest.mark.parametrize("case", sigma_2_3_11_fixture(), ids=lambda case: f"class{case.label}")
+def test_find_reps_reports_the_invariant_by_both_routes(run, case):
+    # find-reps reports the invariant as cs-seifert does: cs and mu by the
+    # closed formula, and cs again by the pipeline.
+    target = jsonio.encode_class_target(target_from_angles(case.generators, case.central))
+    doc = {"a": [2, 3, 11], "target": target}
+    code, out = run(["find-reps", "--seed", "1", "--budget", "64", "--json"], stdin_text=json.dumps(doc))
+    assert code == 0
+    payload = _envelope(out)["payload"]
+    cs = case.expected_cs
+    assert payload["cs"] == payload["pipeline_cs"] == jsonio.encode_fraction(cs)
+    assert payload["pipeline_agrees"] is True
+    assert payload["cs_decimal"] == float(cs)
+    assert payload["burns_epstein"] == jsonio.encode_fraction(1 - cs)
+    assert payload["burns_epstein_decimal"] == float(1 - cs)
+
+
+@pytest.mark.parametrize(
+    "command, doc, extra",
+    [
+        ("cs-seifert", {"a": [2, 3, 11], "data": CASE5_DATA}, []),
+        ("find-reps", {"a": [2, 3, 11], "target": CASE5_TARGET}, ["--seed", "1", "--budget", "16"]),
+    ],
+    ids=["cs-seifert", "find-reps"],
+)
+def test_disagreeing_routes_fail_the_job(run, monkeypatch, command, doc, extra):
+    pipeline = csu21.cli.cs_pipeline
+    monkeypatch.setattr("csu21.cli.cs_pipeline", lambda pres, data: pipeline(pres, data) + Fraction(1, 66))
+    code, out = run([command, *extra, "--json"], stdin_text=json.dumps(doc))
+    assert code == 2
+    env = _envelope(out)
+    assert env["status"] == "fail"
+    assert env["diagnostics"] == ["closed formula and pipeline disagree"]
+    payload = env["payload"]
+    assert (payload["cs"], payload["pipeline_cs"], payload["pipeline_agrees"]) == ("25/66", "13/33", False)
 
 
 def test_find_reps_matches_eigenphases_once_per_generator(run, monkeypatch):

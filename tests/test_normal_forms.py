@@ -21,7 +21,7 @@ from csu21 import (
     holonomy,
     u21_algebra_residual,
 )
-from csu21.normal_forms import FAMILIES, FAMILY_PARAMS
+from csu21.normal_forms import FAMILIES, FAMILY_PARAMS, direction_matrix
 
 TWO_PI = 2.0 * math.pi
 
@@ -33,6 +33,16 @@ def test_family_tags():
     assert ParabolicC2NF((0, 0), (0, 0), 0, 0).family == "parabolic_c2"
     with pytest.raises(ValueError):
         NormalForm("nope", (0, 0, 0), (0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "make", [lambda f: NormalForm(f, (0, 0, 0), (0, 0, 0)), lambda f: direction_matrix(f, np.zeros(3))],
+    ids=["NormalForm", "direction_matrix"],
+)
+def test_an_unknown_family_is_echoed_cut_short(make):
+    with pytest.raises(ValueError) as err:
+        make("x" * 100000)
+    assert "unknown family 'xxx" in str(err.value) and len(str(err.value)) < 1024
 
 
 def test_coeffs_zero_connection():

@@ -9,7 +9,7 @@ import csu21
 PUBLIC = {
     "CentralAngles", "ClassTarget", "ConnectionPath", "CorrectionBranchError",
     "EllipticNF", "FamilyMismatch", "GElement", "GeneratorAngles",
-    "InvalidRepData", "IsometryType", "LengthMismatch", "LiftedRepData",
+    "IsometryType", "LengthMismatch", "LiftedRepData",
     "LinearParam", "LoxodromicNF", "NormalForm", "NotASolution", "NotCoprime",
     "ParabolicC1NF", "ParabolicC2NF", "PolyParam", "SampledParam",
     "SearchResult", "SeifertPresentation", "TOL_ANGLE", "TOL_CLASSIFY",
@@ -28,7 +28,7 @@ PUBLIC = {
 
 
 def test_all_states_the_public_names_exactly():
-    assert len(PUBLIC) == 66
+    assert len(PUBLIC) == 65
     assert len(csu21.__all__) == len(set(csu21.__all__))
     assert set(csu21.__all__) == PUBLIC
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import csu21.repfinder
 from csu21 import (
     CentralAngles,
     ClassTarget,
@@ -30,6 +31,7 @@ from csu21 import (
     target_from_angles,
 )
 from csu21.repfinder import (
+    DEFECT_FLOOR,
     _conjugate,
     _defect,
     _defect_jacobian,
@@ -208,7 +210,7 @@ def test_singular_cayley_step_is_rejected_quietly():
         accepted.append(ms)
         return _jacobian(ms)
 
-    x = _levenberg_marquardt(_residual, jacobian, start, max_nfev=20, step=step)
+    x, _ = _levenberg_marquardt(_residual, jacobian, start, max_nfev=20, step=step)
     assert all(np.isfinite(ms).all() for ms in accepted)
     assert accepted[0] is start and len(accepted) > 1
     assert np.isfinite(_residual(x)).all()
@@ -229,7 +231,7 @@ def _circle_jacobian(v):
 
 
 def test_levenberg_marquardt_solves_a_rank_deficient_problem():
-    x = _levenberg_marquardt(_circle_residual, _circle_jacobian, np.array([2.0, 0.5]), max_nfev=400)
+    x, _ = _levenberg_marquardt(_circle_residual, _circle_jacobian, np.array([2.0, 0.5]), max_nfev=400)
     assert np.linalg.norm(_circle_residual(x)) <= 1e-14
 
 
@@ -254,7 +256,7 @@ def test_levenberg_marquardt_stops_on_a_zero_jacobian():
         return np.array([1.0, -2.0])
 
     x0 = np.array([0.3, -0.7])
-    x = _levenberg_marquardt(fun, lambda v: np.zeros((2, 2)), x0, max_nfev=400)
+    x, _ = _levenberg_marquardt(fun, lambda v: np.zeros((2, 2)), x0, max_nfev=400)
     assert calls == 1
     assert np.array_equal(x, x0)
 
@@ -300,10 +302,47 @@ def test_levenberg_marquardt_never_accepts_a_non_finite_residual():
         accepted.append(v[0])
         return np.array([[1.0]])
 
-    x = _levenberg_marquardt(fun, jac, np.array([0.0]), max_nfev=50)
+    x, _ = _levenberg_marquardt(fun, jac, np.array([0.0]), max_nfev=50)
     assert max(accepted) <= 1.0
     assert x[0] <= 1.0
     assert np.isfinite(fun(x)).all()
+
+
+def _table_solve():
+    start = _conjugate(_target_diagonals(sigma_2_3_11_targets()[4]), np.random.default_rng(1).normal(size=18) * 0.4)
+    return _residual, _jacobian, start, {"step": _conjugate, "floor": DEFECT_FLOOR}
+
+
+LM_PROBLEMS = {
+    "table-solve": _table_solve,
+    "rank-deficient": lambda: (_circle_residual, _circle_jacobian, np.array([2.0, 0.5]), {}),
+    "zero-jacobian": lambda: (lambda v: np.array([1.0, -2.0]), lambda v: np.zeros((2, 2)), np.array([0.3, -0.7]), {}),
+    "non-finite": lambda: (
+        lambda v: np.array([np.inf]) if v[0] > 1.0 else np.array([v[0] - 2.0]),
+        lambda v: np.array([[1.0]]),
+        np.array([0.0]),
+        {},
+    ),
+}
+
+
+@pytest.mark.parametrize("problem", LM_PROBLEMS)
+def test_levenberg_marquardt_returns_the_least_point_it_evaluated(problem):
+    # The search keeps each solve's returned point as that solve's best
+    # candidate: it must be the first point of least |fun|^2 evaluated.
+    fun, jac, x0, options = LM_PROBLEMS[problem]()
+    evaluated = []
+
+    def recording(x):
+        r = fun(x)
+        evaluated.append((x, r @ r))
+        return r
+
+    x, rr = _levenberg_marquardt(recording, jac, x0, max_nfev=400, **options)
+    least = min(value for _, value in evaluated)
+    assert rr == least
+    assert x is next(point for point, value in evaluated if value == least)
+    assert len(evaluated) == 1 if problem == "zero-jacobian" else len(evaluated) > 5
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +472,32 @@ def test_stalled_search_stays_finite_and_unconverged(target, budget):
         extract_lift_data(pres, result, target, _lift(pres, target))
     assert np.isfinite(verdict.value.residual)
     assert all(np.isfinite(m).all() for m in result.matrices)
+
+
+@pytest.mark.parametrize(
+    "target, budget",
+    [(_NEAR_MISS_TARGET, 16), (_DRIFTING_TARGET, 3), (sigma_2_3_11_targets()[0], 64)],
+    ids=["near-miss", "drifting", "table-class-1"],
+)
+def test_search_returns_the_least_defect_it_evaluated(monkeypatch, target, budget):
+    # The search keeps each solve's returned point and the least of those;
+    # over all its residual evaluations that must be the first of least
+    # squared defect, as when every evaluation was compared.
+    evaluated = []
+    defect = csu21.repfinder._defect
+
+    def recording(q):
+        r = defect(q)
+        evaluated.append((q[-1], r @ r))
+        return r
+
+    monkeypatch.setattr(csu21.repfinder, "_defect", recording)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = find_representation(presentation((2, 3, 11)), target, seed=1, budget=budget)
+    least = min(value for _, value in evaluated if not math.isnan(value))
+    product = next(q_n for q_n, value in evaluated if value == least)
+    assert _prefix_products(np.array(result.matrices))[-1].tobytes() == product.tobytes()
+    assert len(evaluated) > 2
 
 
 def test_converged_search_solves_case_five():

@@ -57,8 +57,8 @@ def test_tracer_wraps_every_layer(tracer_module, tracer):
 
 def test_traced_find_reps_accepts_once_and_does_not_validate(tracer, tmp_path, monkeypatch):
     # One job: one lift of the target, one search, one acceptance against
-    # that lift (one residual), and no validate_rep, whose checks the lift
-    # implies.
+    # that lift (one residual), the invariant by each route once, and no
+    # validate_rep, whose checks the lift implies.
     doc = {"a": [2, 3, 11], "target": encode_class_target(csu21.sigma_2_3_11_targets()[4])}
     path = tmp_path / "class5.json"
     path.write_text(json.dumps(doc))
@@ -79,4 +79,5 @@ def test_traced_find_reps_accepts_once_and_does_not_validate(tracer, tmp_path, m
     assert calls["repfinder.relation_residual"] == 1
     assert calls["seifert.canonical_lift_data"] == 1
     assert len(implied) == 1
+    assert calls["seifert.cs_closed"] == calls["seifert.cs_pipeline"] == 1
     assert calls["seifert.validate_rep"] == 0

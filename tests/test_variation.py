@@ -23,7 +23,7 @@ from csu21 import (
     mod_z,
 )
 from csu21.normal_forms import FAMILIES, FAMILY_PARAMS, FAMILY_X_PARAMS, FAMILY_Y_PARAMS, connection_coeffs, direction_matrix
-from csu21.variation import _simpson
+from csu21.variation import GAUGE_GRID, _simpson
 
 from conftest import random_normal_form
 
@@ -58,14 +58,14 @@ def test_simpson_needs_three_points():
 def test_constant_path_has_zero_variation():
     path = ConnectionPath("elliptic", {"alpha1": LinearParam(0.3, 0.3), "beta2": LinearParam(-0.7, -0.7)})
     assert cs_delta_closed(path) == 0.0
-    assert abs(cs_delta_quadrature(path)) <= 1e-15
+    assert abs(cs_delta_quadrature(path, 256)) <= 1e-15
 
 
 def test_elliptic_unit_sweep_value():
     # alpha1: 0 -> 1 against constant beta1 = 1: 1/2 * int(0 - 1) = -1/2.
     path = ConnectionPath("elliptic", {"alpha1": LinearParam(0.0, 1.0), "beta1": LinearParam(1.0, 1.0)})
     assert cs_delta_closed(path) == -0.5
-    assert abs(cs_delta_quadrature(path) - (-0.5)) <= 1e-12
+    assert abs(cs_delta_quadrature(path, 256) - (-0.5)) <= 1e-12
 
 
 def test_loxodromic_translation_sweep_value():
@@ -73,13 +73,13 @@ def test_loxodromic_translation_sweep_value():
     path = ConnectionPath("loxodromic", {"u": LinearParam(0.0, 1.0), "v": LinearParam(1.0, 1.0)})
     expected = 1.0 / (4.0 * math.pi**2)
     assert abs(cs_delta_closed(path) - expected) <= 1e-15
-    assert abs(cs_delta_quadrature(path) - expected) <= 1e-12
+    assert abs(cs_delta_quadrature(path, 256) - expected) <= 1e-12
 
 
 def test_parabolic_c2_unit_sweep_value():
     path = ConnectionPath("parabolic_c2", {"theta1": LinearParam(0.0, 1.0), "tau1": LinearParam(1.0, 1.0)})
     assert cs_delta_closed(path) == -1.0
-    assert abs(cs_delta_quadrature(path) - (-1.0)) <= 1e-12
+    assert abs(cs_delta_quadrature(path, 256) - (-1.0)) <= 1e-12
 
 
 def test_parabolic_c1_sweep_ignores_nuisance_parameters():
@@ -96,7 +96,7 @@ def test_parabolic_c1_sweep_ignores_nuisance_parameters():
         },
     )
     assert abs(cs_delta_closed(path) - (-1.5)) <= 1e-10
-    assert abs(cs_delta_quadrature(path) - (-1.5)) <= 1e-10
+    assert abs(cs_delta_quadrature(path, 256) - (-1.5)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +373,7 @@ def test_gauge_boundary_integral_matches_closed_form(rng):
     for _ in range(20):
         nf = random_normal_form(rng, "elliptic")
         closed = gauge_shift_closed(1, 0, nf.x, nf.y)
-        integral = gauge_shift_boundary_integral(nf, n_grid=256)
+        integral = gauge_shift_boundary_integral(nf)
         assert abs(integral - closed) <= 1e-8
 
 
@@ -390,21 +390,19 @@ def _gauge_integral_pointwise(nf, n_grid):
     return total / n_grid / (8.0 * math.pi**2)
 
 
-@pytest.mark.parametrize("n_grid", [16, 17, 256])
+@pytest.mark.parametrize("n_grid", [GAUGE_GRID])  # the integral's own grid
 def test_gauge_boundary_integral_matches_the_pointwise_loop(rng, n_grid):
     # Same arithmetic summed in another order: agreement to a few hundred
     # ulps of the O(1) result.
     for _ in range(20):
         nf = random_normal_form(rng, "elliptic", -5.0, 5.0)
         reference = _gauge_integral_pointwise(nf, n_grid)
-        assert abs(gauge_shift_boundary_integral(nf, n_grid) - reference) <= 1e-13 * max(1.0, abs(reference))
+        assert abs(gauge_shift_boundary_integral(nf) - reference) <= 1e-13 * max(1.0, abs(reference))
 
 
 def test_gauge_boundary_integral_rejects_bad_input(rng):
     with pytest.raises(TypeError):
         gauge_shift_boundary_integral(random_normal_form(rng, "loxodromic"))
-    with pytest.raises(ValueError):
-        gauge_shift_boundary_integral(random_normal_form(rng, "elliptic"), n_grid=8)
 
 
 # ---------------------------------------------------------------------------
