@@ -23,8 +23,13 @@ Exit codes:
        document (one nested too deeply for the JSON parser included),
        including the checks of the constructors the decoders call
        (integer entries, coprime moduli, family parameters,
-       rotation-number range, sample count)
-    2  validation failure: any check after decoding; also argparse's
+       rotation-number range, sample count).  An object or list of the
+       wrong shape, at any depth, gets one diagnostic form from
+       ``jsonio.fields`` and ``jsonio.array``: "<what> must be an
+       object", "<what> must be a list[ of <k> entries]" or "<what>
+       missing [<keys>]", where <what> names the object that is off
+    2  validation failure: any check after decoding, a product of
+       cover elements whose angles overflow included; also argparse's
        usage error for a bad option, such as an option the command does
        not take, a tolerance that is not a finite number > 0, a budget
        below 1 or a negative seed
@@ -70,7 +75,7 @@ from .ug21 import TOL_ANGLE, TOL_GROUP, GElement, check_u21, classify, g_multipl
 from .variation import cs_delta_closed, cs_delta_quadrature
 
 # JSONDecodeError is a ValueError; json.loads raises RecursionError on a deeply nested document.
-_MALFORMED = (OSError, ValueError, TypeError, KeyError, RecursionError)
+_MALFORMED = (OSError, ValueError, TypeError, RecursionError)
 _DOMAIN = (ValueError, TypeError, ArithmeticError, RuntimeError)
 
 
@@ -96,11 +101,10 @@ def _fail(code, payload, diagnostics):
 
 
 def _decode_source(doc):
-    if "data" in doc:
-        return "data", jsonio.decode_rep_data(doc["data"])
-    if "angles" in doc:
+    """The document's representation: its 'data' entry, or else its 'angles' entry."""
+    if "data" not in doc and "angles" in doc:
         return "angles", jsonio.decode_angles(doc["angles"])
-    raise ValueError("input needs either 'data' or 'angles'")
+    return "data", jsonio.decode_rep_data(*jsonio.fields(doc, "input without 'angles'", "data"))
 
 
 def _invariants(pres, data) -> dict:
@@ -171,7 +175,7 @@ def cmd_verify_table(args):
 
 
 def _decode_matrix_doc(doc):
-    return jsonio.decode_matrix(doc["matrix"] if isinstance(doc, dict) else doc)
+    return jsonio.decode_matrix(jsonio.fields(doc, "input", "matrix")[0] if isinstance(doc, dict) else doc)
 
 
 def cmd_classify(args):
@@ -207,9 +211,10 @@ def cmd_variation(args):
 
 
 def cmd_find_reps(args):
-    pres, target = _parse(
-        args, lambda doc: (jsonio.decode_presentation(doc), jsonio.decode_class_target(doc["target"]))
-    )
+    pres, target = _parse(args, lambda doc: (
+        jsonio.decode_presentation(doc),
+        jsonio.decode_class_target(*jsonio.fields(doc, "input", "target")),
+    ))
     # Pre-flight: the exact lift must exist before any search is worth it;
     # it is also the lift the search's candidate is accepted against.
     lift = canonical_lift_data(pres, *implied_angles(pres, target))
@@ -230,10 +235,14 @@ def cmd_find_reps(args):
 
 
 def cmd_mul(args):
-    g, h = _parse(args, lambda doc: (jsonio.decode_g_element(doc["g"]), jsonio.decode_g_element(doc["h"])))
+    g, h = _parse(args, lambda doc: [jsonio.decode_g_element(x) for x in jsonio.fields(doc, "input", "g", "h")])
     g.validate(args.tol_group, args.tol_angle)
     h.validate(args.tol_group, args.tol_angle)
-    return _ok({"product": jsonio.encode_g_element(g_multiply(g, h))})
+    product = g_multiply(g, h)
+    # Angles near the float range of valid elements can overflow in the sum.
+    if not (math.isfinite(product.theta1) and math.isfinite(product.theta2)):
+        return _fail(2, {}, [f"product is not finite: theta1 {product.theta1!r}, theta2 {product.theta2!r}"])
+    return _ok({"product": jsonio.encode_g_element(product)})
 
 
 def _decode_check_u21(doc):

@@ -10,10 +10,14 @@ written as "num/den".  A real number is a JSON integer or float, and an
 integer a JSON integer; a bool is neither.
 
 Decoders raise ValueError on anything structurally off and on
-non-finite numbers.  The integer entries of presentations, twists and
-central lifts go unread to the core constructors, which refuse a
-non-integer with TypeError; domain validation happens in the core
-modules.
+non-finite numbers.  Every shape check goes through ``fields`` (an
+object and its required keys) and ``array`` (a list, of a given length
+if one is asked for), so a document of the wrong shape gets one of
+three diagnostics: "<what> must be an object", "<what> must be a list"
+(with " of <k> entries" when the length is fixed) or "<what> missing
+[<keys>]".  The integer entries of presentations, twists and central
+lifts go unread to the core constructors, which refuse a non-integer
+with TypeError; domain validation happens in the core modules.
 """
 
 from __future__ import annotations
@@ -49,6 +53,28 @@ def _require(cond: bool, msg: str, *args) -> None:
     # ``_echo``, which cuts the value short.
     if not cond:
         raise ValueError(msg.format(*args))
+
+
+def fields(data, what: str, *keys: str) -> list:
+    """The entries ``keys`` of the JSON object ``data``, in order.
+
+    The one shape rule of every document: anything but an object raises
+    ValueError "<what> must be an object", and an object without some of
+    ``keys`` raises "<what> missing [<those keys>]".
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be an object")
+    try:
+        return [data[key] for key in keys]
+    except KeyError:
+        raise ValueError(f"{what} missing {[key for key in keys if key not in data]}") from None
+
+
+def array(data, what: str, length: int | None = None) -> list:
+    """``data`` if it is a JSON array, of ``length`` entries when given; else ValueError."""
+    if not isinstance(data, list) or length is not None and len(data) != length:
+        raise ValueError(f"{what} must be a list" + ("" if length is None else f" of {length} entries"))
+    return data
 
 
 _JSON_NUMBERS = frozenset((int, float))  # the concrete types json.loads gives numbers; bool is neither
@@ -97,11 +123,7 @@ def decode_complex(v) -> complex:
 
 
 def decode_matrix(data) -> np.ndarray:
-    _require(isinstance(data, list) and len(data) == 3, "matrix must be 3 rows")
-    rows = []
-    for row in data:
-        _require(isinstance(row, list) and len(row) == 3, "matrix rows must have 3 entries")
-        rows.append([decode_complex(v) for v in row])
+    rows = [[decode_complex(v) for v in array(row, "matrix row", 3)] for row in array(data, "matrix", 3)]
     return np.array(rows, dtype=complex)
 
 
@@ -112,12 +134,8 @@ def encode_matrix(m) -> list[list[list[float]]]:
 
 
 def decode_g_element(data) -> GElement:
-    _require(isinstance(data, dict), "cover element must be an object")
-    _require(
-        set(data) >= {"matrix", "theta1", "theta2"},
-        "cover element needs matrix, theta1, theta2",
-    )
-    return GElement(decode_matrix(data["matrix"]), _real(data["theta1"]), _real(data["theta2"]))
+    m, theta1, theta2 = fields(data, "cover element", "matrix", "theta1", "theta2")
+    return GElement(decode_matrix(m), _real(theta1), _real(theta2))
 
 
 def encode_g_element(g: GElement) -> dict:
@@ -149,12 +167,9 @@ def encode_fraction(f: Fraction | int) -> str:
 
 
 def decode_presentation(data) -> SeifertPresentation:
-    _require(isinstance(data, dict) and "a" in data, "presentation needs a moduli list 'a'")
-    a = data["a"]
-    _require(isinstance(a, list), "'a' must be a list of integers")
+    (a,) = fields(data, "presentation", "a")
     b = data.get("b")
-    _require(b is None or isinstance(b, list), "'b' must be a list of integers")
-    return presentation(a, b)
+    return presentation(array(a, "'a'"), None if b is None else array(b, "'b'"))
 
 
 def encode_presentation(pres: SeifertPresentation) -> dict:
@@ -162,19 +177,16 @@ def encode_presentation(pres: SeifertPresentation) -> dict:
 
 
 def decode_rep_data(data) -> LiftedRepData:
-    _require(isinstance(data, dict), "representation data must be an object")
-    missing = {"p0", "q0", "r0", "p", "q", "r", "s"} - set(data)
-    _require(not missing, "representation data missing {}", sorted(missing))
-    for key in ("p", "q", "r", "s"):
-        _require(isinstance(data[key], list), "'{}' must be a list", key)
+    p0, q0, r0, *lists = fields(data, "representation data", "p0", "q0", "r0", "p", "q", "r", "s")
+    p, q, r, s = (array(v, repr(key)) for key, v in zip("pqrs", lists))
     return LiftedRepData(
-        decode_fraction(data["p0"]),
-        decode_fraction(data["q0"]),
-        decode_fraction(data["r0"]),
-        tuple(decode_fraction(v) for v in data["p"]),
-        tuple(decode_fraction(v) for v in data["q"]),
-        tuple(decode_fraction(v) for v in data["r"]),
-        data["s"],
+        decode_fraction(p0),
+        decode_fraction(q0),
+        decode_fraction(r0),
+        tuple(map(decode_fraction, p)),
+        tuple(map(decode_fraction, q)),
+        tuple(map(decode_fraction, r)),
+        s,
     )
 
 
@@ -191,30 +203,14 @@ def encode_rep_data(data: LiftedRepData) -> dict:
 
 
 def decode_angles(data) -> tuple[tuple[GeneratorAngles, ...], CentralAngles]:
-    _require(isinstance(data, dict), "angle data must be an object")
-    _require(
-        set(data) >= {"generators", "central"},
-        "angle data needs 'generators' and 'central'",
-    )
+    generators, central = fields(data, "angle data", "generators", "central")
     gens = []
-    _require(isinstance(data["generators"], list), "'generators' must be a list")
-    for g in data["generators"]:
-        _require(isinstance(g, dict), "each generator entry must be an object")
-        missing = {"fractions", "theta1_turns", "theta2_turns"} - set(g)
-        _require(not missing, "generator entry missing {}", sorted(missing))
-        fr = g["fractions"]
-        _require(isinstance(fr, list) and len(fr) == 3, "'fractions' must be a triple")
-        gens.append(
-            GeneratorAngles(
-                tuple(decode_fraction(v) for v in fr),
-                decode_fraction(g["theta1_turns"]),
-                decode_fraction(g["theta2_turns"]),
-            )
-        )
-    c = data["central"]
-    _require(isinstance(c, dict) and {"theta1_turns", "theta2_turns"} <= set(c), "'central' needs both turn fields")
-    central = CentralAngles(decode_fraction(c["theta1_turns"]), decode_fraction(c["theta2_turns"]))
-    return tuple(gens), central
+    for entry in array(generators, "'generators'"):
+        fractions, theta1, theta2 = fields(entry, "generator entry", "fractions", "theta1_turns", "theta2_turns")
+        fractions = tuple(map(decode_fraction, array(fractions, "'fractions'", 3)))
+        gens.append(GeneratorAngles(fractions, decode_fraction(theta1), decode_fraction(theta2)))
+    theta1, theta2 = fields(central, "'central'", "theta1_turns", "theta2_turns")
+    return tuple(gens), CentralAngles(decode_fraction(theta1), decode_fraction(theta2))
 
 
 def encode_angles(gens, central: CentralAngles) -> dict:
@@ -235,50 +231,39 @@ def encode_angles(gens, central: CentralAngles) -> dict:
 
 
 def _decode_param_curve(entry):
-    _require(isinstance(entry, dict) and "kind" in entry, "parameter paths need a 'kind'")
-    kind = entry["kind"]
+    (kind,) = fields(entry, "parameter path", "kind")
     if kind == "linear":
-        missing = {"from", "to"} - set(entry)
-        _require(not missing, "linear path missing {}", sorted(missing))
-        return LinearParam(_real(entry["from"]), _real(entry["to"]))
+        return LinearParam(*map(_real, fields(entry, "linear path", "from", "to")))
     if kind == "samples":
-        _require("values" in entry and isinstance(entry["values"], list), "sampled path needs a 'values' list")
-        return SampledParam(_reals(entry["values"]))
+        (values,) = fields(entry, "sampled path", "values")
+        return SampledParam(_reals(array(values, "'values'")))
     if kind == "poly":
-        _require("coeffs" in entry and isinstance(entry["coeffs"], list), "poly path needs a 'coeffs' list")
-        return PolyParam(_reals(entry["coeffs"]))
+        (coeffs,) = fields(entry, "poly path", "coeffs")
+        return PolyParam(_reals(array(coeffs, "'coeffs'")))
     raise ValueError(f"unknown parameter path kind {_echo(kind)}")
 
 
 def decode_path(data) -> tuple[ConnectionPath, int]:
     """Decode a connection path; returns (path, quadrature panel count)."""
-    _require(isinstance(data, dict) and "family" in data, "path needs a 'family' tag")
+    (family,) = fields(data, "path", "family")
     params = data.get("params", {})
-    _require(isinstance(params, dict), "'params' must be an object")
+    fields(params, "'params'")  # an object, of any keys
     curves = {name: _decode_param_curve(entry) for name, entry in params.items()}
     n = data.get("n", 256)
     if type(n) is not int:
         raise ValueError(f"expected an integer, got {_echo(n)}")
     # The quadrature grid holds n + 1 points per array: bound its memory.
     _require(n <= MAX_PANELS, "panel count {} exceeds {}", n, MAX_PANELS)
-    path = ConnectionPath(data["family"], curves)
-    return path, n
+    return ConnectionPath(family, curves), n
 
 
 def decode_class_target(data) -> ClassTarget:
-    _require(isinstance(data, dict), "class target must be an object")
-    missing = {"generators", "central"} - set(data)
-    _require(not missing, "class target missing {}", sorted(missing))
-    _require(isinstance(data["generators"], list), "'generators' must be a list")
-    fractions = []
-    for tri in data["generators"]:
-        _require(isinstance(tri, list) and len(tri) == 3, "each generator class is a triple of rotation numbers")
-        fractions.append(tuple(decode_fraction(v) for v in tri))
-    c = data["central"]
-    _require(isinstance(c, dict) and {"fraction", "lifts"} <= set(c), "'central' needs 'fraction' and 'lifts'")
-    lifts = c["lifts"]
-    _require(isinstance(lifts, list) and len(lifts) == 2, "'lifts' must be a pair of integers")
-    return ClassTarget(tuple(fractions), decode_fraction(c["fraction"]), lifts)
+    generators, central = fields(data, "class target", "generators", "central")
+    fractions = tuple(
+        tuple(map(decode_fraction, array(tri, "generator class", 3))) for tri in array(generators, "'generators'")
+    )
+    fraction, lifts = fields(central, "'central'", "fraction", "lifts")
+    return ClassTarget(fractions, decode_fraction(fraction), array(lifts, "'lifts'", 2))
 
 
 def encode_class_target(target: ClassTarget) -> dict:

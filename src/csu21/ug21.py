@@ -270,26 +270,15 @@ def _clusters(lam: list[complex]) -> list[tuple[complex, float, int]]:
     beyond the perturbation itself, so spectral decisions are made on
     clusters rather than raw eigenvalues.
     """
-    n = len(lam)
     radius = math.sqrt(TOL_CLASSIFY) * max(1.0, *map(abs, lam))
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(lam[i] - lam[j]) <= radius:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[complex]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(lam[i])
+    groups: list[list[complex]] = []
+    for z in lam:
+        # z joins, and so bridges, every earlier group it comes near.
+        near = [g for g in groups if any(abs(z - u) <= radius for u in g)]
+        groups = [g for g in groups if all(g is not h for h in near)] + [sum(near, []) + [z]]
     return [
         (sum(vals) / len(vals), max(abs(u - v) for u in vals for v in vals), len(vals))
-        for vals in groups.values()
+        for vals in groups
     ]
 
 

@@ -49,7 +49,7 @@ The module also evaluates the change of CS under the basic gauge loops
 h(x, y) = diag(e^{2 pi i (mx+ny)}, e^{-2 pi i (mx+ny)}, 1) on an
 elliptic connection: the closed form m (b1 - b2)/2 - n (a1 - a2)/2 and a
 direct boundary-torus integral of tr(g^{-1} A g ∧ g^{-1} dg) for the
-(m, n) = (1, 0) loop.
+(m, n) = (1, 0) loop, whose integrand is constant on the torus.
 """
 
 from __future__ import annotations
@@ -72,10 +72,6 @@ from .normal_forms import (
 EIGHT_PI_SQ = 8.0 * math.pi**2
 
 MIN_SAMPLES = 33
-
-# Grid points of the gauge-shift boundary integral.  Its integrand does
-# not depend on x, so the grid size does not change the result.
-GAUGE_GRID = 256
 
 
 class FamilyMismatch(ValueError):
@@ -315,22 +311,17 @@ def gauge_shift_boundary_integral(nf: NormalForm) -> float:
 
     Gauging an elliptic connection A by g(x) = diag(e^{2 pi i x},
     e^{-2 pi i x}, 1) changes CS by (1/8 pi^2) int_T tr(g^{-1} A g ∧
-    g^{-1} dg); the integrand is y-independent, so a periodic-trapezoid
-    average over ``GAUGE_GRID`` points in x evaluates the torus integral.
-    With g diagonal the integrand is -Re 2 pi i (cy_00 - cy_11), constant
-    in x as well.  Matches gauge_shift_closed(1, 0, alpha, beta).
+    g^{-1} dg).  Only the cy dy term of A survives against the dx-valued
+    Maurer-Cartan form g^{-1} dg = g^{-1} g' dx, with a sign from
+    reordering dy ∧ dx, so the integrand is -Re tr(g^{-1} cy g g^{-1} g').
+    With g diagonal that trace is the sum over i of cy_ii (g^{-1} g')_ii
+    for any cy, and g^{-1} g' = 2 pi i diag(1, -1, 0) does not depend on
+    x: the integrand is the constant -Re 2 pi i (cy_00 - cy_11), and over
+    the unit torus the integral is that constant.  It reads cy through
+    ``connection_coeffs``, not through the normal form's angles, so it is
+    independent of gauge_shift_closed(1, 0, alpha, beta), which it matches.
     """
     if nf.family != ELLIPTIC:
         raise TypeError("gauge loops in this normal form act on elliptic connections")
     _, cy = connection_coeffs(nf)
-    # g(x) = diag(e, 1/e, 1) and dg/dx as diagonals over the grid x = k / GAUGE_GRID.
-    e = np.exp(2j * math.pi * np.arange(GAUGE_GRID) / GAUGE_GRID)
-    g = np.stack([e, np.conj(e), np.ones(GAUGE_GRID)], axis=1)
-    dg = 2j * math.pi * np.stack([e, -np.conj(e), np.zeros(GAUGE_GRID)], axis=1)
-    ginv = np.conj(g)
-    # dx^dy coefficient of tr(g^-1 A g ^ g^-1 dg): only the cy dy term
-    # survives against the dx-valued Maurer-Cartan form, with a sign
-    # from reordering dy^dx.  With g diagonal, tr(g^-1 cy g g^-1 dg) is
-    # the sum over i of the diagonal products, for any cy.
-    integrand = -np.real(np.sum(ginv * np.diag(cy) * g * ginv * dg, axis=1))
-    return float(np.mean(integrand)) / EIGHT_PI_SQ
+    return -float(((cy[0, 0] - cy[1, 1]) * 2j * math.pi).real) / EIGHT_PI_SQ

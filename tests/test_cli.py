@@ -361,6 +361,12 @@ _NAN_RESIDUAL_G = {
     "theta2": float(np.angle(_NAN_RESIDUAL_M[2, 2])),
 }
 
+# A valid identity whose angle is a multiple of 2 pi near the float range
+# (its remainder mod 2 pi is exactly 0): the product's angle overflows.
+_HUGE_ANGLE = math.ldexp(2 * math.pi, 1021)
+_HUGE_THETA1_G = {"matrix": encode_matrix(np.eye(3)), "theta1": _HUGE_ANGLE, "theta2": 0.0}
+_HUGE_THETA2_G = {"matrix": encode_matrix(np.eye(3)), "theta1": 0.0, "theta2": _HUGE_ANGLE}
+
 
 @pytest.mark.parametrize(
     "command, doc, payload",
@@ -371,8 +377,10 @@ _NAN_RESIDUAL_G = {
         ("classify", {"matrix": _NAN_RESIDUAL}, {"residual": None}),
         ("check-u21", {"matrix": _NAN_RESIDUAL}, {"kind": "matrix", "residual": None, "valid": False}),
         ("mul", {"g": _NAN_RESIDUAL_G, "h": _NAN_RESIDUAL_G}, {}),
+        ("mul", {"g": _HUGE_THETA1_G, "h": _HUGE_THETA1_G}, {}),
+        ("mul", {"g": _HUGE_THETA2_G, "h": _HUGE_THETA2_G}, {}),
     ],
-    ids=["classify", "check-u21", "mul", "classify-nan", "check-u21-nan", "mul-nan"],
+    ids=["classify", "check-u21", "mul", "classify-nan", "check-u21-nan", "mul-nan", "mul-theta1", "mul-theta2"],
 )
 def test_overflowing_matrix_gives_strict_json_and_no_warnings(monkeypatch, capsys, command, doc, payload):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
@@ -383,6 +391,9 @@ def test_overflowing_matrix_gives_strict_json_and_no_warnings(monkeypatch, capsy
     env = json.loads(captured.out, parse_constant=_reject_constant)
     assert env["status"] == "fail"
     assert env["payload"] == payload
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main([command]) == 2
+    assert "status: fail" in capsys.readouterr().out
 
 
 # The options each command reads, beside -h/--help and --json.
@@ -1060,6 +1071,72 @@ def test_mutated_documents_keep_the_cli_contract(command, data):
     assert env["status"] == ("ok" if code == 0 else "fail")
     if code == 0:
         _assert_finite(env["payload"])
+
+
+# The name each decoder gives the object a required key is deleted from,
+# by that key.  A key that two objects share is named by its parent's key.
+_OBJECT_NAMES = {
+    "a": "presentation",
+    "data": "input without 'angles'",
+    "angles": "input without 'angles'",  # neither form left: 'data' is asked for
+    **dict.fromkeys(["p0", "q0", "r0", "p", "q", "r", "s"], "representation data"),
+    "fractions": "generator entry",
+    "family": "path",
+    "kind": "parameter path",
+    **dict.fromkeys(["from", "to"], "linear path"),
+    "values": "sampled path",
+    "coeffs": "poly path",
+    "target": "input",
+    "fraction": "'central'",
+    "lifts": "'central'",
+    **dict.fromkeys(["g", "h"], "input"),
+    **dict.fromkeys(["matrix", "theta1", "theta2"], "cover element"),
+}
+_BY_PARENT = {"angles": "angle data", "target": "class target", "generators": "generator entry", "central": "'central'"}
+# Keys a document may leave out (a single 'params' curve included), and
+# check-u21's 'theta1', whose absence switches it to the bare-matrix form.
+_OPTIONAL = {"b", "params", "n"}
+
+
+def _required_keys(command, doc):
+    for path in _locations(doc):
+        if not path or not isinstance(path[-1], str) or path[-1] in _OPTIONAL or path[-2:-1] == ("params",):
+            continue
+        if command == "check-u21" and path == ("theta1",):
+            continue
+        yield path
+
+
+def _object_name(command, path):
+    *parent, key = path
+    if key in ("generators", "central", "theta1_turns", "theta2_turns"):
+        return _BY_PARENT[[k for k in parent if isinstance(k, str)][-1]]
+    return "input" if command == "classify" else _OBJECT_NAMES[key]
+
+
+_DELETIONS = [
+    (command, doc, path)
+    for command, (_, docs) in sorted(_FUZZ_SEEDS.items())
+    for doc in docs
+    if doc is not None
+    for path in _required_keys(command, doc)
+]
+
+
+@pytest.mark.parametrize(
+    "command, doc, path",
+    _DELETIONS,
+    ids=[f"{command}:{'/'.join(map(str, path))}" for command, _, path in _DELETIONS],
+)
+def test_a_missing_key_names_its_object_and_the_key(run, command, doc, path):
+    argv = _FUZZ_SEEDS[command][0]
+    doc = copy.deepcopy(doc)
+    del _at(doc, path[:-1])[path[-1]]
+    code, out = run([command, "--json", *argv], stdin_text=json.dumps(doc))
+    assert code == 1
+    (diagnostic,) = _envelope(out)["diagnostics"]
+    assert diagnostic.startswith(f"malformed input: {_object_name(command, path)} missing [")
+    assert repr(path[-1]) in diagnostic
 
 
 def test_envelopes_are_one_line_from_the_c_encoder(run, monkeypatch):

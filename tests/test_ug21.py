@@ -318,6 +318,19 @@ def test_classify_conjugation_invariance(rng):
             assert classify(u @ m @ uinv) is want
 
 
+def test_clusters_are_connected_components():
+    # a ~ b ~ c with a and c apart: given in the order a, c, b, the bridge
+    # b, seen last, merges both earlier groups into one cluster.
+    step = 0.8 * math.sqrt(TOL_CLASSIFY)
+    a, b, c = 1.0 + 0j, 1.0 + step, 1.0 + 2 * step
+    assert abs(a - c) > math.sqrt(TOL_CLASSIFY)
+    ((center, diameter, multiplicity),) = _clusters([a, c, b])
+    assert multiplicity == 3
+    assert diameter == abs(c - a)
+    assert center == pytest.approx(b, abs=1e-15)
+    assert sorted(m for _, _, m in _clusters([a, c, -1.0 + 0j])) == [1, 1, 1]
+
+
 def test_is_reducible_diagonal_family():
     assert is_reducible([diag(1j, -1j, 1.0)])
     assert is_reducible([diag(1j, -1j, 1.0), diag(-1.0, -1.0, 1.0), np.eye(3)])

@@ -23,7 +23,7 @@ from csu21 import (
     mod_z,
 )
 from csu21.normal_forms import FAMILIES, FAMILY_PARAMS, FAMILY_X_PARAMS, FAMILY_Y_PARAMS, connection_coeffs, direction_matrix
-from csu21.variation import GAUGE_GRID, _simpson
+from csu21.variation import _simpson
 
 from conftest import random_normal_form
 
@@ -390,10 +390,10 @@ def _gauge_integral_pointwise(nf, n_grid):
     return total / n_grid / (8.0 * math.pi**2)
 
 
-@pytest.mark.parametrize("n_grid", [GAUGE_GRID])  # the integral's own grid
+@pytest.mark.parametrize("n_grid", [256])  # the reference's own grid
 def test_gauge_boundary_integral_matches_the_pointwise_loop(rng, n_grid):
-    # Same arithmetic summed in another order: agreement to a few hundred
-    # ulps of the O(1) result.
+    # The torus average of the full 3x3 integrand against the constant it
+    # averages: agreement to a few hundred ulps of the O(1) result.
     for _ in range(20):
         nf = random_normal_form(rng, "elliptic", -5.0, 5.0)
         reference = _gauge_integral_pointwise(nf, n_grid)
